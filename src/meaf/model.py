@@ -57,6 +57,33 @@ class UserRecord:
     preinstalled: frozenset[int] = field(default_factory=frozenset)
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _check_alpha(alpha, num_apps: int) -> float:
+    """A uniform cap fraction as a float: finite and at least 1/num_apps."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise InstanceError("alpha must be finite, got %r" % alpha)
+    if alpha < 1.0 / num_apps:
+        raise InstanceError("alpha below 1/num_apps: %g < 1/%d" % (alpha, num_apps))
+    return alpha
+
+
+def _int64_column(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise InstanceError("%s does not fit in int64" % what) from None
+
+
+def _sum_fits_int64(column: np.ndarray) -> bool:
+    """Whether a column of non-negative int64 values sums within int64."""
+    if not column.size or int(column.max()) * column.size <= _INT64_MAX:
+        return True
+    return sum(column.tolist()) <= _INT64_MAX
+
+
 def canonical_dumps(obj) -> str:
     """Canonical JSON: sorted keys, compact separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -88,13 +115,15 @@ class Instance:
     def __init__(self, num_apps, capacities, user_ids, demands, pre_indptr, pre_indices, alpha=None):
         if not isinstance(num_apps, int) or num_apps < 1:
             raise InstanceError("num_apps must be a positive integer")
-        caps = np.asarray(capacities, dtype=np.int64)
+        caps = _int64_column(capacities, "capacity")
         if caps.ndim != 1 or caps.shape[0] != num_apps:
             raise InstanceError(
                 "capacity list length %d != num_apps %d" % (caps.size, num_apps)
             )
         if caps.size and int(caps.min()) < 0:
             raise InstanceError("negative capacity for app %d" % int(np.argmin(caps)))
+        if not _sum_fits_int64(caps):
+            raise InstanceError("total capacity does not fit in int64")
 
         ids = list(user_ids)
         n = len(ids)
@@ -106,7 +135,7 @@ class Instance:
                 raise InstanceError("duplicate user id %r" % uid)
             seen.add(uid)
 
-        dem = np.asarray(demands, dtype=np.int64)
+        dem = _int64_column(demands, "demand")
         if dem.shape != (n,):
             raise InstanceError("demands length %d != number of users %d" % (dem.size, n))
         if n and int(dem.min()) < 1:
@@ -114,6 +143,8 @@ class Instance:
             raise InstanceError(
                 "user %r has non-positive demand %d" % (ids[bad], int(dem[bad]))
             )
+        if not _sum_fits_int64(dem):
+            raise InstanceError("total demand does not fit in int64")
 
         indptr = np.asarray(pre_indptr, dtype=np.int64)
         indices = np.asarray(pre_indices, dtype=np.int64)
@@ -134,11 +165,7 @@ class Instance:
                 raise InstanceError("duplicate or unsorted preinstalled app ids")
 
         if alpha is not None:
-            alpha = float(alpha)
-            if alpha < 1.0 / num_apps:
-                raise InstanceError(
-                    "alpha below 1/num_apps: %g < 1/%d" % (alpha, num_apps)
-                )
+            alpha = _check_alpha(alpha, num_apps)
 
         caps.setflags(write=False)
         dem.setflags(write=False)
@@ -190,9 +217,7 @@ class Instance:
         if (capacities is None) == (alpha is None):
             raise ValueError("pass exactly one of capacities / alpha")
         if alpha is not None:
-            alpha = float(alpha)
-            if alpha < 1.0 / self.num_apps:
-                raise InstanceError("alpha below 1/num_apps: %g < 1/%d" % (alpha, self.num_apps))
+            alpha = _check_alpha(alpha, self.num_apps)
             cap = math.ceil(alpha * self.total_demand)
             capacities = [cap] * self.num_apps
         return Instance(
@@ -334,8 +359,7 @@ def validate_instance(raw) -> Instance:
     if alpha is not None:
         if num_apps < 1:
             raise InstanceError("num_apps must be a positive integer")
-        if alpha < 1.0 / num_apps:
-            raise InstanceError("alpha below 1/num_apps: %g < 1/%d" % (alpha, num_apps))
+        alpha = _check_alpha(alpha, num_apps)
         total = sum(demands)
         capacities = [math.ceil(alpha * total)] * num_apps
 
@@ -696,6 +720,12 @@ def verify_allocation(inst: Instance, alloc: Allocation) -> VerificationReport:
     au, aa = au[akn], aa[akn]
     act_keys = np.sort(au * m + aa) if au.size else np.empty(0, np.int64)
     solid_keys = inst.solid_key_array()
+
+    repeated = np.unique(act_keys[1:][act_keys[1:] == act_keys[:-1]])
+    for key in repeated[:10].tolist():
+        violations.append(
+            "activated pair (%r, %d) is listed more than once" % (inst.user_ids[key // m], key % m)
+        )
 
     if act_keys.size:
         in_solid = np.isin(act_keys, solid_keys)

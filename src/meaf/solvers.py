@@ -7,6 +7,17 @@ The enumeration is realised as a depth-first search with pruning rules
 that only skip subtrees provably containing no feasible subset, so the
 accepted subset is exactly the lexicographically first feasible one.
 
+A leaf of the search is decided by the cut condition, without a flow:
+all demand routes iff, for every app set A, cap(A) covers the demand of
+the users whose reachable apps (preinstalled plus chosen) all lie in A.
+The search keeps each user's reachable-app mask and the demand total per
+mask current as it adds and removes edges, so a leaf costs one subset-sum
+pass of m * 2^m additions over m apps.  Only where that pass would cost
+more than CUT_ORACLE_ARC_FACTOR times the arc count of the network
+holding every edge does a leaf run a Dinic max-flow instead.  Both decide
+the same leaves; the accepted subset's witness allocation is always
+routed by max_flow.
+
 lp_lower_bound solves the relaxation where each activation variable may
 be fractional: its optimum equals a min-cost max-flow whose dashed arcs
 cost one over the owning user's demand per unit, computed with exact
@@ -16,6 +27,7 @@ rational arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import time
 from dataclasses import dataclass
@@ -49,6 +61,14 @@ class GloballyInfeasibleError(RuntimeError):
         self.total_capacity = total_capacity
 
 
+# The exact search decides a leaf by _CutOracle while m * 2^m stays within
+# this many times the arc count of the network holding every user/app
+# edge, and by Dinic beyond.  Per leaf under CPython 3.11 the two broke
+# even where m * 2^m was about 35 to 100 times the arc count (m = 7 to 12,
+# 1 to 20 users); at 32 the oracle took at most 0.6 of a Dinic leaf.
+CUT_ORACLE_ARC_FACTOR = 32
+
+
 @dataclass
 class ExactConfig:
     max_budget: "int | None" = None
@@ -66,25 +86,83 @@ def _dashed_index_pairs(inst: Instance) -> list[tuple[int, int]]:
     return pairs
 
 
+class _CutOracle:
+    """Exact feasibility test by the cut condition, kept incrementally.
+
+    All demand routes iff, for every app set A, cap(A) is at least the
+    demand of the users whose reachable apps (preinstalled plus chosen)
+    all lie in A.  The oracle keeps each user's reachable-app bit-mask and
+    the demand total per mask; toggle() moves one user between masks in
+    O(1).  holds() sums the totals over the subsets of every A (m * 2^m
+    additions) and compares each sum with cap(A).
+    """
+
+    def __init__(self, inst: Instance):
+        m = inst.num_apps
+        size = 1 << m
+        self.demand = inst.demands.tolist()
+        self.reach = [0] * inst.num_users
+        for u in range(inst.num_users):
+            for a in inst.preinstalled_of(u).tolist():
+                self.reach[u] |= 1 << a
+        self.mask_demand = [0] * size
+        for mask, d in zip(self.reach, self.demand):
+            self.mask_demand[mask] += d
+        caps = inst.capacities.tolist()
+        self.cap_of = [0] * size
+        for A in range(1, size):
+            low = A & -A
+            self.cap_of[A] = self.cap_of[A ^ low] + caps[low.bit_length() - 1]
+        # (A, A without one of its apps), bit by bit: the subset-sum pass
+        self.zeta_pairs = [
+            (A, A ^ bit) for bit in (1 << a for a in range(m)) for A in range(size) if A & bit
+        ]
+
+    def toggle(self, u: int, a: int) -> None:
+        """Add the edge (u, a) to u's reachable apps, or take it away."""
+        d = self.demand[u]
+        mask = self.reach[u]
+        self.mask_demand[mask] -= d
+        mask ^= 1 << a
+        self.mask_demand[mask] += d
+        self.reach[u] = mask
+
+    def holds(self) -> bool:
+        stuck = self.mask_demand[:]
+        for A, B in self.zeta_pairs:
+            stuck[A] += stuck[B]
+        return all(map(operator.le, stuck, self.cap_of))
+
+
 class _SubsetSearcher:
     """Lexicographic DFS over k-subsets of the dashed edges.
 
-    Feasibility of a leaf is evaluated on one shared network holding every
-    dashed arc: non-selected dashed arcs get capacity zero, which gives the
-    same max-flow value as a network built without them.
+    A leaf is decided by _CutOracle, which the DFS updates as it pushes
+    and pops each dashed edge.  Its m * 2^m leaf pass grows with the number
+    of apps m alone, so where it exceeds CUT_ORACLE_ARC_FACTOR times the
+    arc count of the network holding every edge, a leaf is decided by a
+    Dinic max-flow on that one shared network instead: non-selected dashed
+    arcs get capacity zero, which gives the same max-flow value as a
+    network built without them.  Both decide exactly the same leaves.
     """
 
     def __init__(self, inst: Instance, dashed: list[tuple[int, int]]):
         self.inst = inst
         self.dashed = dashed
-        self.net = build_network(inst, dashed)
-        arc_of = {(u, a): aid for aid, u, a, is_d in self.net.edge_arcs if is_d}
-        self.dashed_arcs = np.array([arc_of[p] for p in dashed], dtype=np.int64)
-        self.pristine = self.net.base_cap.copy()
-        self.total = inst.total_demand
+        n = inst.num_users
+        m = inst.num_apps
+        num_arcs = 2 * (n + n * m + m)
+        if m << m <= CUT_ORACLE_ARC_FACTOR * num_arcs:
+            self.oracle = _CutOracle(inst)
+        else:
+            self.oracle = None
+            self.net = build_network(inst, dashed)
+            arc_of = {(u, a): aid for aid, u, a, is_d in self.net.edge_arcs if is_d}
+            self.dashed_arcs = np.array([arc_of[p] for p in dashed], dtype=np.int64)
+            self.pristine = self.net.base_cap.copy()
+            self.total = inst.total_demand
         # users with no preinstalled app need at least one chosen edge;
         # their dashed edges sit in one contiguous index block
-        n = inst.num_users
         counts = np.diff(inst.pre_indptr)
         self.needs_edge = [int(counts[u]) == 0 for u in range(n)]
         self.block_end = [0] * n
@@ -94,6 +172,8 @@ class _SubsetSearcher:
 
     def _leaf_feasible(self, chosen: list[int]) -> bool:
         self.leaf_evals += 1
+        if self.oracle is not None:
+            return self.oracle.holds()
         net = self.net
         np.copyto(net.arc_cap, self.pristine)
         net.arc_cap[self.dashed_arcs] = 0
@@ -119,6 +199,7 @@ class _SubsetSearcher:
         uncovered = sum(1 for u in range(self.inst.num_users) if self.needs_edge[u])
         chosen: list[int] = []
         cover_hits = [0] * self.inst.num_users
+        toggle = None if self.oracle is None else self.oracle.toggle
 
         def rec(start: int, uncovered: int) -> "list[int] | None | str":
             slots = k - len(chosen)
@@ -133,11 +214,15 @@ class _SubsetSearcher:
                 if self.needs_edge[u] and cover_hits[u] == 0 and self.block_end[u] <= start:
                     return None
             for idx in range(start, D - slots + 1):
-                u = self.dashed[idx][0]
+                u, a = self.dashed[idx]
                 newly = self.needs_edge[u] and cover_hits[u] == 0
                 cover_hits[u] += 1
                 chosen.append(idx)
+                if toggle:
+                    toggle(u, a)
                 out = rec(idx + 1, uncovered - 1 if newly else uncovered)
+                if toggle:
+                    toggle(u, a)
                 chosen.pop()
                 cover_hits[u] -= 1
                 if out is not None:

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, _check_alpha
 
 __all__ = [
     "GenConfig",
@@ -105,8 +105,7 @@ class GenConfig:
             raise ValueError("apps_per_user weights must have positive mass")
         if self.skew_exponent < 0:
             raise ValueError("skew_exponent must be >= 0")
-        if self.alpha < 1.0 / self.num_apps:
-            raise ValueError("alpha below 1/num_apps: %g < 1/%d" % (self.alpha, self.num_apps))
+        _check_alpha(self.alpha, self.num_apps)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

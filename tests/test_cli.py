@@ -174,6 +174,19 @@ def test_solve_corrupt_instance_exits_2(tmp_path, capsys):
     assert "invalid instance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ('{"num_apps": 1, "capacities": [5], "users": [{"id": "a", "demand": 4611686018427387904},'
+     ' {"id": "b", "demand": 4611686018427387904}]}', "total demand does not fit in int64"),
+    ('{"num_apps": 1, "capacities": {"alpha": Infinity}, "users": [{"id": "a", "demand": 1}]}',
+     "alpha must be finite"),
+], ids=["demand-total", "alpha-infinity"])
+def test_solve_out_of_range_instance_exits_2(tmp_path, capsys, doc, reason):
+    path = tmp_path / "wide.json"
+    path.write_text(doc)
+    assert main(["solve", str(path), "--algo", "exact"]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_solve_writes_dot(tmp_path, capsys):
     inst = _instance_file(tmp_path)
     dot = tmp_path / "net.dot"

@@ -98,6 +98,25 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError, match="alpha below 1/num_apps"):
             simple_instance().with_capacities(alpha=0.4)
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_alpha_not_finite(self, alpha):
+        with pytest.raises(InstanceError, match="alpha must be finite"):
+            simple_instance().with_capacities(alpha=alpha)
+        with pytest.raises(InstanceError, match="alpha must be finite"):
+            validate_instance({"num_apps": 2, "capacities": {"alpha": alpha},
+                               "users": [{"id": "u", "demand": 1}]})
+
+    def test_totals_must_fit_int64(self):
+        with pytest.raises(InstanceError, match="total demand does not fit in int64"):
+            Instance.from_users(1, [5], [("a", 2**62, [0]), ("b", 2**62, [0])])
+        with pytest.raises(InstanceError, match="total capacity does not fit in int64"):
+            Instance.from_users(2, [2**62, 2**62], [("a", 1, [0])])
+        with pytest.raises(InstanceError, match="demand does not fit in int64"):
+            Instance.from_users(1, [5], [("a", 2**63, [0])])
+        # the largest totals that fit are accepted, and summed exactly
+        inst = Instance.from_users(1, [2**63 - 1], [("a", 2**62, [0]), ("b", 2**62 - 1, [0])])
+        assert inst.total_demand == 2**63 - 1
+
     def test_immutable(self):
         inst = simple_instance()
         with pytest.raises(AttributeError):
@@ -327,6 +346,18 @@ class TestVerifyAllocation:
             },
         )
         assert any("preinstalled edge" in v for v in rep.violations)
+
+    def test_repeated_activation_flagged(self):
+        rep = self.run(
+            simple_instance(),
+            {
+                "flows": [["u0", 0, 1], ["u0", 1, 3], ["u1", 0, 1], ["u2", 0, 1]],
+                "activated": [["u0", 1], ["u0", 1]],
+                "unallocated": {},
+            },
+        )
+        assert not rep.ok
+        assert rep.violations == ["activated pair ('u0', 1) is listed more than once"]
 
     def test_unknown_user(self):
         rep = self.run(

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from meaf import _kernels, solvers
 from meaf import (
     ExactConfig,
     GenConfig,
@@ -146,6 +148,130 @@ def test_exact_globally_infeasible():
     inst = _inst(1, [2], [("u0", 3, [0])])
     with pytest.raises(GloballyInfeasibleError, match="demand 3 exceeds total capacity 2"):
         exact_solve(inst)
+
+
+# -------------------------------------------------------- exact leaves
+
+
+def _dinic_searcher(inst, monkeypatch):
+    """A searcher whose leaves run a max-flow, whatever the instance size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "CUT_ORACLE_ARC_FACTOR", 0)
+        searcher = solvers._SubsetSearcher(inst, solvers._dashed_index_pairs(inst))
+    assert searcher.oracle is None
+    return searcher
+
+
+def _assert_oracle_matches_dinic(inst, rng, monkeypatch, steps):
+    """Walk random edge toggles; after each one the two decisions agree."""
+    searcher = _dinic_searcher(inst, monkeypatch)
+    oracle = solvers._CutOracle(inst)
+    dashed = searcher.dashed
+    chosen = set()
+    yes = 0
+    for step in range(steps + 1):
+        if step and dashed:
+            idx = int(rng.randint(len(dashed)))
+            chosen ^= {idx}
+            oracle.toggle(*dashed[idx])
+        verdict = oracle.holds()
+        assert verdict == searcher._leaf_feasible(sorted(chosen)), (inst, sorted(chosen))
+        yes += verdict
+    return yes
+
+
+def test_cut_oracle_decides_leaves_like_dinic(monkeypatch):
+    rng = np.random.RandomState(60606)
+    leaves = yes = 0
+    for _ in range(2500):
+        inst = _oracles.random_tiny_instance(rng, max_users=6, max_apps=4,
+                                             max_t=5, max_cap=9)
+        yes += _assert_oracle_matches_dinic(inst, rng, monkeypatch, steps=4)
+        leaves += 5
+    assert 0 < yes < leaves  # both verdicts exercised
+
+
+def test_cut_oracle_matches_dinic_where_dinic_is_selected(monkeypatch):
+    # one or two users over eight or nine apps: m * 2^m exceeds the
+    # factor times the arc count, so the search itself runs max-flows
+    rng = np.random.RandomState(8080)
+    for _ in range(12):
+        m = int(rng.randint(8, 10))
+        users = [("u%d" % u, int(rng.randint(1, 10)),
+                  [a for a in range(m) if rng.randint(3) == 0])
+                 for u in range(int(rng.randint(1, 3)))]
+        inst = _inst(m, [int(rng.randint(0, 6)) for _ in range(m)], users)
+        searcher = solvers._SubsetSearcher(inst, solvers._dashed_index_pairs(inst))
+        assert searcher.oracle is None
+        _assert_oracle_matches_dinic(inst, rng, monkeypatch, steps=20)
+
+
+def _count_max_flows(monkeypatch):
+    calls = []
+    kernel = _kernels.dinic_kernel
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "dinic_kernel", counted)
+    return calls
+
+
+def test_exact_dinic_leaves_on_many_apps(monkeypatch):
+    calls = _count_max_flows(monkeypatch)
+    inst = _inst(9, [2] * 9, [("u0", 5, [0])])
+    res = exact_solve(inst, ExactConfig(prune=False))
+    assert res.activation_count == 2
+    assert res.allocation.activated == {("u0", 1), ("u0", 2)}
+    assert len(calls) > 2  # leaves decided by max-flow, plus the witness
+
+
+# The nine fixed 3-Partition gadgets of the benchmark (B = 40) and the
+# SHA-256 of exact_solve's canonical JSON for each, as computed when every
+# leaf ran a max-flow: the oracle must reproduce them byte for byte.
+GADGET_ANSWERS = [
+    ([12, 17, 13, 12, 11, 16, 13, 12, 14], 9,
+     "53e897db945647c74e2b70d1342c0451c1e26fa6f529f446e6e66a8da7d98cdd"),
+    ([12, 14, 14, 12, 12, 16, 13, 12, 15], 9,
+     "043c1aa1dc04e585f98d0e967f2ecd225959bd9e3f18f1508f49f26cd9cd5183"),
+    ([14, 16, 15, 11, 12, 12, 16, 13, 11], 9,
+     "0cb6cbb87eb18d874b632b2db27bee98a28988a764be511dc1854fd0c141ab58"),
+    ([13, 14, 16, 13, 15, 11, 12, 14, 12], 9,
+     "698f45188926cd86d56200052f74fa7aab1fb663c9ae72128acb44b93487f152"),
+    ([13, 11, 11, 18, 11, 11, 12, 18, 15], 9,
+     "303c68a5fd7b8c8d200c709be296c3afd3ec77d380f861371264a7a0370dcb4f"),
+    ([17, 14, 16, 12, 12, 11, 13, 11, 14], 9,
+     "14cdc82234e2250d1ac7dc4a7e57c89b8e743fa97349482f90d12a79d3a466e8"),
+    ([11, 13, 13, 16, 11, 13, 12, 16, 15], 9,
+     "fcb9a201e51c3737595b2fc6e43426a7f5fd96385c8c84c024dc2317e0e6783f"),
+    ([15, 12, 11, 17, 15, 17, 11, 11, 11], 10,
+     "4fb0db714d44f05fccf80f96f8b41bf064e3cc175f44806018ed44530358d781"),
+    ([12, 12, 12, 12, 17, 11, 13, 18, 13], 10,
+     "1aac8f92d595b7e69196bf5c55c1c6cd9ba5a6fc708bfa7fb4d9503ef6a04fc8"),
+]
+
+
+@pytest.mark.parametrize("items, count, digest", GADGET_ANSWERS,
+                         ids=["gadget%d" % k for k in range(len(GADGET_ANSWERS))])
+def test_exact_gadget_answers_unchanged(items, count, digest):
+    inst, _budget = reduce_3partition(items, 40)
+    res = exact_solve(inst)
+    assert res.activation_count == count
+    assert hashlib.sha256(res.canonical_json().encode()).hexdigest() == digest
+
+
+def test_exact_no_gadget_runs_one_max_flow(monkeypatch):
+    # a "no" gadget visits every 9-subset leaf; none may reach a max-flow
+    items = GADGET_ANSWERS[7][0]
+    inst, budget = reduce_3partition(items, 40)
+    calls = _count_max_flows(monkeypatch)
+    assert exact_solve(inst).activation_count == budget + 1
+    assert len(calls) == 1  # the witness allocation
+    calls.clear()
+    res = exact_solve(inst, ExactConfig(max_budget=budget))
+    assert res.status == "budget_exceeded"
+    assert calls == []  # no witness, no max-flow
 
 
 # ------------------------------------------------------------------- lp

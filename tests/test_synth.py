@@ -215,6 +215,12 @@ def test_validate_alpha_floor():
         cfg.validate()
 
 
+def test_validate_alpha_not_finite():
+    cfg = GenConfig(num_users=5, num_transactions=50, num_apps=4, alpha=float("inf"))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        cfg.validate()
+
+
 def test_validate_seed_range():
     cfg = GenConfig(num_users=5, num_transactions=50, seed=2**64)
     with pytest.raises(ValueError, match="64-bit"):
