@@ -7,9 +7,9 @@ for a fixed config and seeds; wall-clock numbers live only in
 records.json and runtime.csv, which are documented as non-reproducible
 timing sidecars.
 
-Scale guards keep the desk-scale solvers off large inputs: exact is
-skipped above 30 dashed edges (unless forced) and the relaxation bound
-above ten million arcs; such cells get status "skipped (scale)".
+A scale guard keeps the exact search off large inputs: it is skipped
+above 30 dashed edges (unless forced), and such cells get status
+"skipped (scale)".
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ __all__ = [
     "run_algorithm",
     "ALGORITHMS",
     "EXACT_DASHED_LIMIT",
-    "LP_ARC_LIMIT",
     "CSV_HEADER",
 ]
 
 EXACT_DASHED_LIMIT = 30
-LP_ARC_LIMIT = 10**7
 
 
 class MetricError(ValueError):
@@ -255,18 +253,6 @@ def _run_cell(instance_id, seed, alpha, inst: Instance, algorithm: str, force: b
             verified=None,
             **base,
         )
-    if algorithm == "lp" and not force:
-        arcs = inst.num_users + inst.num_users * inst.num_apps + inst.num_apps
-        if arcs > LP_ARC_LIMIT:
-            return BenchRecord(
-                status="skipped (scale)",
-                activations=None,
-                unallocated=None,
-                inverse_gini=None,
-                wall_time=None,
-                verified=None,
-                **base,
-            )
     res = run_algorithm(algorithm, inst)
     if res.allocation is None:
         return BenchRecord(

@@ -11,7 +11,8 @@ max_flow runs a shortest-augmenting-path/blocking-flow scheme on int64
 arrays (numba-compiled when available).  min_cost_max_flow runs
 successive shortest paths with potentials in plain Python: costs are
 integer-scaled rationals and Python integers never overflow, so results
-are exact.
+are exact.  solvers.lp_lower_bound does not use it; it is an
+independent way to compute that bound, which the tests compare with.
 """
 
 from __future__ import annotations

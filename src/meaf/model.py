@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -61,7 +62,10 @@ _INT64_MAX = 2**63 - 1
 
 
 def _check_alpha(alpha, num_apps: int) -> float:
-    """A uniform cap fraction as a float: finite and at least 1/num_apps."""
+    """A uniform cap fraction as a float: a finite number, not a bool or a
+    string, and at least 1/num_apps."""
+    if isinstance(alpha, (bool, np.bool_)) or not isinstance(alpha, numbers.Real):
+        raise InstanceError("alpha must be a number, got %r" % (alpha,))
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise InstanceError("alpha must be finite, got %r" % alpha)
@@ -71,10 +75,23 @@ def _check_alpha(alpha, num_apps: int) -> float:
 
 
 def _int64_column(values, what: str) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        raise InstanceError("%s does not fit in int64" % what) from None
+    """values as int64; InstanceError for a bool, a non-integer or a value
+    outside int64, where a cast would truncate or wrap it."""
+    if isinstance(values, (list, tuple)):
+        for kind in set(map(type, values)):
+            if kind is not int and not issubclass(kind, np.integer):
+                bad = next(v for v in values if type(v) is kind)
+                raise InstanceError("%s must be an integer, got %r" % (what, bad))
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            raise InstanceError("%s does not fit in int64" % what) from None
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "iu":
+        raise InstanceError("%s must be an integer, got %s values" % (what, column.dtype))
+    if column.dtype.kind == "u" and column.size and int(column.max()) > _INT64_MAX:
+        raise InstanceError("%s does not fit in int64" % what)
+    return column.astype(np.int64, copy=False)
 
 
 def _sum_fits_int64(column: np.ndarray) -> bool:
@@ -322,7 +339,9 @@ def validate_instance(raw) -> Instance:
     if isinstance(cap_field, Mapping):
         if set(cap_field) != {"alpha"}:
             raise InstanceError("capacities object must have exactly the key 'alpha'")
-        alpha = float(cap_field["alpha"])
+        if num_apps < 1:
+            raise InstanceError("num_apps must be a positive integer")
+        alpha = _check_alpha(cap_field["alpha"], num_apps)
         capacities = None
     else:
         capacities = list(cap_field)
@@ -357,9 +376,6 @@ def validate_instance(raw) -> Instance:
         indptr.append(len(indices))
 
     if alpha is not None:
-        if num_apps < 1:
-            raise InstanceError("num_apps must be a positive integer")
-        alpha = _check_alpha(alpha, num_apps)
         total = sum(demands)
         capacities = [math.ceil(alpha * total)] * num_apps
 

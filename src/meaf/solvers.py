@@ -19,13 +19,17 @@ the same leaves; the accepted subset's witness allocation is always
 routed by max_flow.
 
 lp_lower_bound solves the relaxation where each activation variable may
-be fractional: its optimum equals a min-cost max-flow whose dashed arcs
-cost one over the owning user's demand per unit, computed with exact
-rational arithmetic.
+be fractional.  Its optimum is n minus the largest sum of s_u / d_u over
+the amounts s_u the users can route on preinstalled edges alone, and a
+greedy over ascending demands attains it: one max-flow on a network of
+the distinct preinstalled app sets, whose source arcs grow demand level
+by demand level, gives the bound as an exact Fraction and a routing that
+attains it.  No min-cost flow runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -35,7 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flowcore import build_network, max_flow, min_cost_max_flow
+from .flowcore import build_network, max_flow
+from .flowcore import min_cost_max_flow  # noqa: F401  wrapped here by perfbench/tracing.py
 from .model import Allocation, Instance, SolveResult
 from . import _kernels
 
@@ -323,41 +328,169 @@ def _witness_allocation(inst: Instance, subset: list[tuple[int, int]]) -> Alloca
     return Allocation(inst.user_ids, fu, fa, fx, au, aa)
 
 
-def lp_lower_bound(inst: Instance) -> SolveResult:
-    """Fractional-activation lower bound.
+def _preinstalled_sets(inst: Instance, demand: list[int]) -> tuple[list[tuple], list[list[int]]]:
+    """Distinct non-empty preinstalled app sets, in order of first use, and
+    the users holding each, sorted by demand, then index."""
+    indptr = inst.pre_indptr.tolist()
+    pre = inst.pre_indices.tolist()
+    index: dict[tuple, int] = {}
+    members: list[list[int]] = []
+    for u in range(inst.num_users):
+        lo, hi = indptr[u], indptr[u + 1]
+        if lo < hi:
+            c = index.setdefault(tuple(pre[lo:hi]), len(members))
+            if c == len(members):
+                members.append([])
+            members[c].append(u)
+    for users in members:
+        users.sort(key=demand.__getitem__)
+    return list(index), members
 
-    Over all integral routings of the full demand with every dashed edge
-    present, minimizes the sum of (flow on dashed edge) / (owning user's
-    demand) -- a min-cost max-flow with that per-unit cost.  Exact
-    rational arithmetic throughout; the activation_count is a Fraction.
+
+def _greedy_preinstalled_flow(
+    inst: Instance, sets: list[tuple], members: list[list[int]], demand: list[int]
+) -> tuple[Fraction, list[list[list[int]]]]:
+    """Sum over demand levels d of (F_d - F_d-) / d, and the final flow as
+    [app, amount] pairs per set.
+
+    One network has a node per preinstalled set, arcs only to its apps
+    and the app caps into the sink.  Each demand level d, ascending, adds
+    the demand of the users at exactly d to their sets' source arcs; the
+    flow it gains is F_d - F_d-.  Source capacities only grow, so each
+    level starts from the max-flow left by the one before.
+    """
+    net = build_network(Instance(
+        inst.num_apps,
+        inst.capacities,
+        ["s%d" % c for c in range(len(sets))],
+        [sum(demand[u] for u in users) for users in members],
+        [0] + list(itertools.accumulate(len(apps) for apps in sets)),
+        [a for apps in sets for a in apps],
+    ))
+    raise_at: dict[int, dict[int, int]] = {}
+    for c, users in enumerate(members):
+        for u in users:
+            step = raise_at.setdefault(demand[u], {})
+            step[c] = step.get(c, 0) + demand[u]
+    # residual capacities stay a list between Dinic calls; the source's
+    # arcs lead to the sets in order and start empty
+    cap = net.arc_cap.tolist()
+    source = net.adj_arcs[net.adj_indptr[net.source] : net.adj_indptr[net.source + 1]].tolist()
+    for s in source:
+        cap[s] = 0
+    into_sink = {int(net.arc_to[r]): int(r) ^ 1 for r in net.adj_arcs[net.adj_indptr[net.sink] :]}
+    direct: list[list[tuple[int, int]]] = [[] for _ in sets]
+    for aid, c, a, _is_d in net.edge_arcs:
+        direct[c].append((aid, into_sink[net.app_node(a)]))
+
+    freed = Fraction(0)
+    for d in sorted(raise_at):
+        # push the new demand along source -> set -> app -> sink first; only
+        # what does not fit that way needs Dinic, which can reroute
+        gained = short = 0
+        for c, amount in raise_at[d].items():
+            s = source[c]
+            cap[s] += amount
+            for e, t in direct[c]:
+                x = min(amount, cap[t])
+                if x:
+                    for arc in (s, e, t):
+                        cap[arc] -= x
+                        cap[arc ^ 1] += x
+                    gained += x
+                    amount -= x
+                    if not amount:
+                        break
+            short += amount
+        if short:
+            net.arc_cap[:] = cap
+            gained += int(_kernels.dinic_kernel(
+                net.num_nodes,
+                net.arc_to,
+                net.arc_cap,
+                net.adj_indptr,
+                net.adj_arcs,
+                net.source,
+                net.sink,
+            ))
+            cap = net.arc_cap.tolist()
+        if gained:
+            freed += Fraction(gained, d)
+
+    set_flows: list[list[list[int]]] = [[] for _ in sets]
+    base = net.base_cap.tolist()
+    for aid, c, a, _is_d in net.edge_arcs:
+        if base[aid] > cap[aid]:
+            set_flows[c].append([a, base[aid] - cap[aid]])
+    return freed, set_flows
+
+
+def lp_lower_bound(inst: Instance) -> SolveResult:
+    """Fractional-activation lower bound and a routing that attains it.
+
+    Over all routings of the full demand with every dashed edge present,
+    minimises the sum of (flow on dashed edge) / (owning user's demand).
+    Every user reaches every app, so once caps cover demand this equals
+    n - max sum_u s_u / d_u over the amounts s_u the users can route on
+    preinstalled edges together.  Those s form a polymatroid and each
+    weight 1 / d_u belongs to one user, so the greedy over ascending
+    demands is optimal: with F_d the max preinstalled-only flow of the
+    users with demand at most d, the bound is n - sum_d (F_d - F_d-) / d,
+    d- the next smaller demand present.  activation_count is that exact
+    Fraction.
+
+    The routing spreads each preinstalled set's flow over its users,
+    smallest demand first, then puts what is left of each user's demand
+    onto apps with spare capacity.  None of those is preinstalled for
+    that user: a user with demand left over has its set's apps saturated,
+    or the max-flow would have used them.
     """
     start = time.perf_counter()
     total_cap = int(inst.capacities.sum())
     if inst.total_demand > total_cap:
         raise GloballyInfeasibleError(inst.total_demand, total_cap)
-    dashed = _dashed_index_pairs(inst)
-    net = build_network(inst, dashed, activation_costs=True)
-    res = min_cost_max_flow(net)
-    if res.value != inst.total_demand:
-        # cannot happen when caps cover demand; kept as a hard guard
-        raise GloballyInfeasibleError(inst.total_demand, total_cap)
+    demand = inst.demands.tolist()
+    sets, members = _preinstalled_sets(inst, demand)
+    freed, set_flows = _greedy_preinstalled_flow(inst, sets, members, demand)
+
     fu, fa, fx = [], [], []
+    left = demand[:]
+    for users, flows in zip(members, set_flows):
+        i = 0
+        for u in users:
+            need = demand[u]
+            while need and i < len(flows):
+                a, f = flows[i]
+                x = min(need, f)
+                fu.append(u); fa.append(a); fx.append(x)
+                need -= x
+                if x == f:
+                    i += 1
+                else:
+                    flows[i][1] = f - x
+            left[u] = need
+    spare = inst.capacities.tolist()
+    for a, x in zip(fa, fx):
+        spare[a] -= x
     au, aa = [], []
-    for aid, u, a, is_d in net.edge_arcs:
-        f = int(res.arc_flows[aid])
-        if f > 0:
-            fu.append(u); fa.append(a); fx.append(f)
-            if is_d:
-                au.append(u); aa.append(a)
-    alloc = Allocation(inst.user_ids, fu, fa, fx, au, aa)
+    a = 0
+    for u, need in enumerate(left):
+        while need:
+            while not spare[a]:
+                a += 1
+            x = min(need, spare[a])
+            fu.append(u); fa.append(a); fx.append(x)
+            au.append(u); aa.append(a)
+            spare[a] -= x
+            need -= x
     return SolveResult(
         algorithm="lp",
         status="bound",
         optimal=False,
-        activation_count=res.cost,
+        activation_count=inst.num_users - freed,
         total_unallocated=0,
         wall_time=time.perf_counter() - start,
-        allocation=alloc,
+        allocation=Allocation(inst.user_ids, fu, fa, fx, au, aa),
     )
 
 

@@ -227,13 +227,6 @@ def test_run_comparison_threads_match_serial(tmp_path):
     ).read_bytes()
 
 
-def test_run_comparison_lp_scale_skip(tmp_path, monkeypatch):
-    monkeypatch.setattr(bench, "LP_ARC_LIMIT", 10)
-    records, _files = run_comparison(_specs()[:1], ("lp",), tmp_path / "skip")
-    assert [r.status for r in records] == ["skipped (scale)"]
-    assert records[0].wall_time is None
-
-
 def test_run_comparison_force_overrides_skip(tmp_path):
     spec = _specs()[1]  # 20 users x 4 apps: 35 dashed edges
     assert spec[3].num_dashed_edges > bench.EXACT_DASHED_LIMIT

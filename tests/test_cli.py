@@ -179,7 +179,11 @@ def test_solve_corrupt_instance_exits_2(tmp_path, capsys):
      ' {"id": "b", "demand": 4611686018427387904}]}', "total demand does not fit in int64"),
     ('{"num_apps": 1, "capacities": {"alpha": Infinity}, "users": [{"id": "a", "demand": 1}]}',
      "alpha must be finite"),
-], ids=["demand-total", "alpha-infinity"])
+    ('{"num_apps": 1, "capacities": {"alpha": true}, "users": [{"id": "a", "demand": 1}]}',
+     "alpha must be a number"),
+    ('{"num_apps": 1, "capacities": {"alpha": "0.7"}, "users": [{"id": "a", "demand": 1}]}',
+     "alpha must be a number"),
+], ids=["demand-total", "alpha-infinity", "alpha-bool", "alpha-string"])
 def test_solve_out_of_range_instance_exits_2(tmp_path, capsys, doc, reason):
     path = tmp_path / "wide.json"
     path.write_text(doc)

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -117,6 +118,28 @@ class TestInstanceValidation:
         inst = Instance.from_users(1, [2**63 - 1], [("a", 2**62, [0]), ("b", 2**62 - 1, [0])])
         assert inst.total_demand == 2**63 - 1
 
+    @pytest.mark.parametrize("caps, demand", [
+        ([5.9], 1.7), ([5.9], 1), ([5], 1.7), ([True], 1), ([5], True), ([5], "2"),
+    ], ids=["both-float", "float-cap", "float-demand", "bool-cap", "bool-demand", "str-demand"])
+    def test_non_integer_values_rejected(self, caps, demand):
+        with pytest.raises(InstanceError, match="must be an integer"):
+            Instance.from_users(1, caps, [("a", demand, [0])])
+
+    def test_non_integer_columns_rejected(self):
+        # a bool among ints, and float arrays, are rejected rather than cast
+        with pytest.raises(InstanceError, match="demand must be an integer, got True"):
+            Instance.from_users(1, [5], [("a", 2, [0]), ("b", True, [0])])
+        with pytest.raises(InstanceError, match="capacity must be an integer"):
+            Instance(1, np.array([5.0]), ["a"], [1], [0, 1], [0])
+        with pytest.raises(InstanceError, match="demand must be an integer"):
+            Instance(1, [5], ["a"], np.array([1.0]), [0, 1], [0])
+        with pytest.raises(InstanceError, match="demand does not fit in int64"):
+            Instance(1, [5], ["a"], np.array([2**63], dtype=np.uint64), [0, 1], [0])
+        # integer arrays of any width are accepted
+        inst = Instance(1, np.array([5], dtype=np.uint8), ["a"], np.array([2], dtype=np.int32),
+                        [0, 1], [0])
+        assert inst.capacities.dtype == np.int64 and inst.demands.tolist() == [2]
+
     def test_immutable(self):
         inst = simple_instance()
         with pytest.raises(AttributeError):
@@ -177,6 +200,12 @@ class TestValidateInstance:
             validate_instance(
                 {"num_apps": 1, "capacities": [1], "users": [{"id": "u", "demand": True}]}
             )
+
+    @pytest.mark.parametrize("alpha", [True, "0.7", None], ids=["bool", "string", "null"])
+    def test_alpha_must_be_a_number(self, alpha):
+        with pytest.raises(InstanceError, match="alpha must be a number"):
+            validate_instance({"num_apps": 2, "capacities": {"alpha": alpha},
+                               "users": [{"id": "u", "demand": 1}]})
 
     def test_instance_passthrough(self):
         inst = simple_instance()

@@ -15,6 +15,7 @@ from meaf import (
     Instance,
     carl,
     check_3partition,
+    dashed_edges,
     dtas,
     exact_solve,
     export_milp,
@@ -23,6 +24,7 @@ from meaf import (
     reduce_3partition,
     verify_allocation,
 )
+from meaf.flowcore import build_network, min_cost_max_flow
 
 import _oracles
 
@@ -324,6 +326,96 @@ def test_lp_witness_is_a_valid_allocation():
         res = lp_lower_bound(inst)
         report = verify_allocation(inst, res.allocation)
         assert report.ok, report.violations
+
+
+def _min_cost_bound(inst):
+    """The relaxation by the rational min-cost max-flow, an independent oracle."""
+    res = min_cost_max_flow(build_network(inst, list(dashed_edges(inst)), activation_costs=True))
+    assert res.value == inst.total_demand
+    return res.cost
+
+
+def _assert_attains(inst, res):
+    """The witness is a verified full routing whose relaxed objective is the bound."""
+    report = verify_allocation(inst, res.allocation)
+    assert report.ok, report.violations
+    solid = set(inst.solid_key_array().tolist())
+    a = res.allocation
+    objective = sum(
+        (Fraction(x, int(inst.demands[u]))
+         for u, app, x in zip(a.flow_user.tolist(), a.flow_app.tolist(), a.flow_amount.tolist())
+         if u * inst.num_apps + app not in solid),
+        Fraction(0),
+    )
+    assert objective == res.activation_count
+
+
+def _parity_instances():
+    rng = np.random.RandomState(2718)
+    for _ in range(150):
+        yield _oracles.random_tiny_instance(rng, max_users=6, max_apps=4, max_t=6, max_cap=12)
+    for _ in range(150):
+        n = int(rng.randint(1, 41))
+        m = int(rng.randint(2, 7))
+        yield generate(GenConfig(
+            num_users=n,
+            num_transactions=int(rng.randint(n, 10 * n + 1)),
+            num_apps=m,
+            alpha=float(rng.uniform(1.0 / m, 0.9)),
+            seed=int(rng.randint(0, 2**31)),
+        ))
+
+
+def test_lp_matches_min_cost_flow_and_attains_the_bound():
+    checked = 0
+    for inst in _parity_instances():
+        if inst.total_demand > int(inst.capacities.sum()):
+            continue
+        res = lp_lower_bound(inst)
+        assert res.activation_count == _min_cost_bound(inst)
+        _assert_attains(inst, res)
+        checked += 1
+    assert checked >= 200
+
+
+def test_lp_certify_instance_pinned():
+    # the 1,000-user instance of the benchmark's certify workload, seed 1;
+    # the rational min-cost flow gives exactly this value
+    inst = generate(GenConfig(num_users=1000, num_transactions=20000, num_apps=15,
+                              alpha=0.08, seed=1))
+    res = lp_lower_bound(inst)
+    assert res.activation_count == Fraction(37264, 583)
+    _assert_attains(inst, res)
+
+
+def test_lp_more_apps_than_a_machine_word():
+    inst = generate(GenConfig(num_users=60, num_transactions=600, num_apps=70,
+                              alpha=0.02, seed=3))
+    assert int(inst.pre_indices.max()) >= 64
+    res = lp_lower_bound(inst)
+    assert res.activation_count == _min_cost_bound(inst)
+    _assert_attains(inst, res)
+
+
+def test_lp_max_flows_per_demand_level(monkeypatch):
+    calls = _count_max_flows(monkeypatch)
+    # nobody has a preinstalled app: nothing to route, no max-flow
+    inst, _budget = reduce_3partition(GADGET_ANSWERS[7][0], 40)
+    assert lp_lower_bound(inst).activation_count == inst.num_users
+    assert calls == []
+    # each demand level fits straight into its apps: no max-flow either
+    inst = _inst(2, [3, 3], [("u0", 2, [0]), ("u1", 3, [1])])
+    assert lp_lower_bound(inst).activation_count == 0
+    assert calls == []
+    # u1 only fits if u0 moves to app 1: one max-flow reroutes it
+    inst = _inst(2, [2, 2], [("u0", 2, [0, 1]), ("u1", 2, [0])])
+    assert lp_lower_bound(inst).activation_count == 0
+    assert len(calls) == 1
+    calls.clear()
+    inst = generate(GenConfig(num_users=200, num_transactions=3000, num_apps=6,
+                              alpha=0.2, seed=5))
+    lp_lower_bound(inst)
+    assert 0 < len(calls) <= len(set(inst.demands.tolist()))
 
 
 def test_sandwich_on_generated_instances():
