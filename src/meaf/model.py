@@ -345,9 +345,6 @@ def validate_instance(raw) -> Instance:
         capacities = None
     else:
         capacities = list(cap_field)
-        for c in capacities:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise InstanceError("capacities must be integers")
 
     ids = []
     demands = []

@@ -201,6 +201,12 @@ class TestValidateInstance:
                 {"num_apps": 1, "capacities": [1], "users": [{"id": "u", "demand": True}]}
             )
 
+    @pytest.mark.parametrize("caps", [[1.5], [True], ["3"]], ids=["float", "bool", "string"])
+    def test_non_integer_capacity_rejected(self, caps):
+        with pytest.raises(InstanceError, match="capacity must be an integer"):
+            validate_instance({"num_apps": 1, "capacities": caps,
+                               "users": [{"id": "u", "demand": 1}]})
+
     @pytest.mark.parametrize("alpha", [True, "0.7", None], ids=["bool", "string", "null"])
     def test_alpha_must_be_a_number(self, alpha):
         with pytest.raises(InstanceError, match="alpha must be a number"):
