@@ -1,13 +1,24 @@
 """Integer allocation and flow kernels.
 
-The per-user allocation loops and the augmenting-path max-flow are the hot
-paths of this package; they are compiled with numba when it is available.
-Setting MEAF_BACKEND=python forces the plain-Python fallback (same code,
-bit-identical results, much slower).  MEAF_BACKEND=numba demands numba and
-fails loudly if it cannot be imported.
+The per-user allocation loops (carl, dtas and the preinstalled-only
+greedy) and the augmenting-path max-flow are the hot paths of this
+package.  Each allocation kernel has two bodies with bit-identical
+results:
 
-All kernels work on int64 arrays only, so results do not depend on the
-backend or on floating-point behaviour.
+* the array body (``_carl_impl``, ``_dtas_impl``, ``_preonly_impl``)
+  indexes int64 arrays element by element.  numba compiles it when it is
+  importable; it is also the reference the list twins are tested against.
+* the list twin (``_carl_lists``, ...) converts its inputs once with
+  ``.tolist()`` and runs the same greedy on Python ints, which CPython
+  runs several times faster than numpy scalars.  It is what runs without
+  numba.
+
+The max-flow has one body, run compiled or as plain Python: its callers
+rely on it updating the residual capacities in place.
+
+Setting MEAF_BACKEND=python forces the CPython path; MEAF_BACKEND=numba
+demands numba and fails loudly if it cannot be imported.  Results never
+depend on the backend or on floating-point behaviour.
 """
 
 import os
@@ -381,15 +392,168 @@ def _dinic_impl(num_nodes, arc_to, arc_cap, adj_indptr, adj_arcs, src, dst):
     return total
 
 
-pure = {
+# -- list twins ------------------------------------------------------------
+#
+# Same decisions, same output rows and dtypes as the array bodies above.
+# Python ints do not wrap; Instance bounds every total to int64, so the
+# results equal the int64 bodies'.
+
+
+def _drainer(rc, handled, rows):
+    """The drain loop of every layer, over rc and handled in place.
+
+    drain(u, remain, cands, new) repeatedly moves demand onto the
+    candidate app with the most remaining capacity (strict > in scan
+    order, so ties go to the first candidate), appends one row
+    (u, app, amount, new) to the four lists in rows per step, and
+    returns the demand it could not place.  Each step either drains its
+    app to zero or places all that is left, so no app is picked twice.
+    """
+    add_user, add_app, add_amt, add_new = [col.append for col in rows]
+
+    def drain(u, remain, cands, new):
+        while remain > 0:
+            best = -1
+            best_rc = 0
+            for a in cands:
+                r = rc[a]
+                if r > best_rc:
+                    best_rc = r
+                    best = a
+            if best < 0:
+                break
+            alloc = remain if remain < best_rc else best_rc
+            rc[best] = best_rc - alloc
+            handled[best] += alloc
+            remain -= alloc
+            add_user(u)
+            add_app(best)
+            add_amt(alloc)
+            add_new(new)
+        return remain
+
+    return drain
+
+
+def _activate(drain, u, remain, row, in_extra, f_app):
+    # carl's layers 2 and 3, dtas's phase 2: apps some user already has,
+    # then brand-new apps, each in ascending id order and never one of the
+    # user's preinstalled apps (row).  The array bodies flag a new app as
+    # activated inside their loop; as no drain picks an app twice, flagging
+    # the apps the install drain used after it decides the same.
+    apps = range(len(in_extra))
+    remain = drain(u, remain, [a for a in apps if in_extra[a] and a not in row], 1)
+    if remain > 0:
+        start = len(f_app)
+        remain = drain(u, remain, [a for a in apps if not in_extra[a] and a not in row], 1)
+        for a in f_app[start:]:
+            in_extra[a] = True
+    return remain
+
+
+def _check_accounting(rc, handled, caps):
+    for r, h, c in zip(rc, handled, caps):
+        if r < 0 or r + h != c:
+            raise AssertionError("capacity accounting violated")
+
+
+def _list_state(caps):
+    """Remaining and handled capacity per app, four empty output columns
+    and the drain loop over them."""
+    rc = list(caps)
+    handled = [0] * len(caps)
+    rows = ([], [], [], [])
+    return rc, handled, rows, _drainer(rc, handled, rows)
+
+
+def _list_outputs(rows, handled, rc, unalloc):
+    f_user, f_app, f_amt, f_new = rows
+    return (
+        np.array(f_user, np.int64),
+        np.array(f_app, np.int64),
+        np.array(f_amt, np.int64),
+        np.array(f_new, np.uint8),
+        np.array(handled, np.int64),
+        np.array(rc, np.int64),
+        np.array(unalloc, np.int64),
+    )
+
+
+def _carl_lists(demands, caps, pre_indptr, pre_indices, order, debug):
+    in_extra = (np.bincount(pre_indices, minlength=caps.shape[0]) > 0).tolist()
+    demands = demands.tolist()
+    caps = caps.tolist()
+    indptr = pre_indptr.tolist()
+    indices = pre_indices.tolist()
+    rc, handled, rows, drain = _list_state(caps)
+    unalloc = [0] * len(demands)
+    for u in order.tolist():
+        row = indices[indptr[u]:indptr[u + 1]]
+        remain = drain(u, demands[u], row, 0)
+        if remain > 0:
+            remain = _activate(drain, u, remain, row, in_extra, rows[1])
+        unalloc[u] = remain
+        if debug:
+            _check_accounting(rc, handled, caps)
+    return _list_outputs(rows, handled, rc, unalloc)
+
+
+def _dtas_lists(demands, caps, pre_indptr, pre_indices, order, debug):
+    in_extra = (np.bincount(pre_indices, minlength=caps.shape[0]) > 0).tolist()
+    demands = demands.tolist()
+    caps = caps.tolist()
+    indptr = pre_indptr.tolist()
+    indices = pre_indices.tolist()
+    order = order.tolist()
+    rc, handled, rows, drain = _list_state(caps)
+    unalloc = [0] * len(demands)
+    for u in order:
+        unalloc[u] = drain(u, demands[u], indices[indptr[u]:indptr[u + 1]], 0)
+        if debug:
+            _check_accounting(rc, handled, caps)
+    for u in order:
+        remain = unalloc[u]
+        if remain > 0:
+            row = indices[indptr[u]:indptr[u + 1]]
+            unalloc[u] = _activate(drain, u, remain, row, in_extra, rows[1])
+            if debug:
+                _check_accounting(rc, handled, caps)
+    return _list_outputs(rows, handled, rc, unalloc)
+
+
+def _preonly_lists(demands, caps, pre_indptr, pre_indices):
+    indptr = pre_indptr.tolist()
+    indices = pre_indices.tolist()
+    _, _, _, drain = _list_state(caps.tolist())  # its rows go unused
+    users_short = 0
+    total_short = 0
+    for u, demand in enumerate(demands.tolist()):
+        remain = drain(u, demand, indices[indptr[u]:indptr[u + 1]], 0)
+        if remain > 0:
+            users_short += 1
+            total_short += remain
+    return users_short, total_short
+
+
+# The array bodies: what numba compiles, and the reference the list twins
+# are tested against.
+arrays = {
     "carl": _carl_impl,
     "dtas": _dtas_impl,
     "preonly": _preonly_impl,
     "dinic": _dinic_impl,
 }
 
+# What runs without numba.
+pure = {
+    "carl": _carl_lists,
+    "dtas": _dtas_lists,
+    "preonly": _preonly_lists,
+    "dinic": _dinic_impl,
+}
+
 if BACKEND == "numba":
-    active = {name: _jit(fn) for name, fn in pure.items()}
+    active = {name: _jit(fn) for name, fn in arrays.items()}
 else:
     active = dict(pure)
 

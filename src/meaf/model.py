@@ -151,6 +151,8 @@ class Instance:
             if uid in seen:
                 raise InstanceError("duplicate user id %r" % uid)
             seen.add(uid)
+        if "" in seen:
+            raise InstanceError("user id must not be empty")
 
         dem = _int64_column(demands, "demand")
         if dem.shape != (n,):
@@ -343,8 +345,10 @@ def validate_instance(raw) -> Instance:
             raise InstanceError("num_apps must be a positive integer")
         alpha = _check_alpha(cap_field["alpha"], num_apps)
         capacities = None
+    elif isinstance(cap_field, (list, tuple)):
+        capacities = cap_field
     else:
-        capacities = list(cap_field)
+        raise InstanceError("capacities must be an array or an object with key 'alpha'")
 
     ids = []
     demands = []
@@ -363,7 +367,14 @@ def validate_instance(raw) -> Instance:
         if not isinstance(dem, int) or isinstance(dem, bool):
             raise InstanceError("user %r demand must be an integer" % (uid,))
         pre = rec.get("preinstalled", [])
-        row = sorted(int(a) for a in pre)
+        if not isinstance(pre, (list, tuple)):
+            raise InstanceError("user %r preinstalled must be an array" % (uid,))
+        for a in pre:
+            if type(a) is not int:
+                raise InstanceError(
+                    "user %r preinstalled app id must be an integer, got %r" % (uid, a)
+                )
+        row = sorted(pre)
         for a, b in zip(row, row[1:]):
             if a == b:
                 raise InstanceError("duplicate preinstalled app %d for user %r" % (a, uid))
@@ -652,21 +663,25 @@ def verify_allocation(inst: Instance, alloc: Allocation) -> VerificationReport:
     m = inst.num_apps
     n = inst.num_users
 
-    # translate the allocation's local user indices to instance indices
-    trans = np.empty(len(alloc.user_ids), dtype=np.int64)
-    for j, uid in enumerate(alloc.user_ids):
-        try:
-            trans[j] = inst.user_index(uid)
-        except KeyError:
-            trans[j] = -1
-            if (
-                alloc.flow_user.size and np.any(alloc.flow_user == j)
-            ) or (
-                alloc.act_user.size and np.any(alloc.act_user == j)
-            ) or (
-                alloc.un_user.size and np.any(alloc.un_user == j)
-            ):
-                violations.append("unknown user id %r" % (uid,))
+    # translate the allocation's local user indices to instance indices;
+    # a heuristic's allocation lists the instance's own ids, in order
+    if alloc.user_ids == inst.user_ids:
+        trans = np.arange(n, dtype=np.int64)
+    else:
+        trans = np.empty(len(alloc.user_ids), dtype=np.int64)
+        for j, uid in enumerate(alloc.user_ids):
+            try:
+                trans[j] = inst.user_index(uid)
+            except KeyError:
+                trans[j] = -1
+                if (
+                    alloc.flow_user.size and np.any(alloc.flow_user == j)
+                ) or (
+                    alloc.act_user.size and np.any(alloc.act_user == j)
+                ) or (
+                    alloc.un_user.size and np.any(alloc.un_user == j)
+                ):
+                    violations.append("unknown user id %r" % (uid,))
 
     fu = trans[alloc.flow_user] if alloc.flow_user.size else np.empty(0, np.int64)
     fa = alloc.flow_app

@@ -183,7 +183,18 @@ def test_solve_corrupt_instance_exits_2(tmp_path, capsys):
      "alpha must be a number"),
     ('{"num_apps": 1, "capacities": {"alpha": "0.7"}, "users": [{"id": "a", "demand": 1}]}',
      "alpha must be a number"),
-], ids=["demand-total", "alpha-infinity", "alpha-bool", "alpha-string"])
+    ('{"num_apps": 2, "capacities": 5, "users": [{"id": "a", "demand": 1}]}',
+     "capacities must be an array"),
+    ('{"num_apps": 2, "capacities": [5, 5], "users": [{"id": "a", "demand": 1, "preinstalled": 0}]}',
+     "preinstalled must be an array"),
+    ('{"num_apps": 2, "capacities": [5, 5], "users": [{"id": "a", "demand": 1, "preinstalled": [1.7]}]}',
+     "preinstalled app id must be an integer"),
+    ('{"num_apps": 2, "capacities": [5, 5], "users": [{"id": "a", "demand": 1, "preinstalled": [true]}]}',
+     "preinstalled app id must be an integer"),
+    ('{"num_apps": 2, "capacities": [5, 5], "users": [{"id": "a", "demand": 1, "preinstalled": ["1"]}]}',
+     "preinstalled app id must be an integer"),
+], ids=["demand-total", "alpha-infinity", "alpha-bool", "alpha-string", "capacities-number",
+        "preinstalled-number", "preinstalled-float", "preinstalled-bool", "preinstalled-string"])
 def test_solve_out_of_range_instance_exits_2(tmp_path, capsys, doc, reason):
     path = tmp_path / "wide.json"
     path.write_text(doc)

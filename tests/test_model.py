@@ -75,6 +75,13 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError, match="user id must be a string"):
             Instance.from_users(1, [5], [(7, 1, [])])
 
+    def test_empty_user_id_rejected(self):
+        with pytest.raises(InstanceError, match="user id must not be empty"):
+            Instance.from_users(1, [5], [("", 1, [])])
+        with pytest.raises(InstanceError, match="user id must not be empty"):
+            validate_instance({"num_apps": 1, "capacities": [5],
+                               "users": [{"id": "", "demand": 1}]})
+
     def test_zero_demand_rejected(self):
         with pytest.raises(InstanceError, match="non-positive demand"):
             Instance.from_users(1, [5], [("u", 0, [])])
@@ -400,6 +407,31 @@ class TestVerifyAllocation:
             {"flows": [["ghost", 0, 1]], "activated": [], "unallocated": {}},
         )
         assert any("unknown user id" in v for v in rep.violations)
+
+    def test_id_translation_paths_agree(self):
+        # an allocation over the instance's own ids skips the id lookup;
+        # the same allocation over its ids in another order takes it
+        inst = meaf.generate(meaf.GenConfig(num_users=60, num_transactions=900,
+                                            num_apps=4, alpha=0.26, seed=3))
+        alloc = meaf.dtas(inst).allocation
+        assert alloc.activation_count() > 0
+        amounts = alloc.flow_amount.copy()
+        amounts[0] += 10**6  # over the cap, and conservation broken
+        same = Allocation(inst.user_ids, alloc.flow_user, alloc.flow_app, amounts,
+                          alloc.act_user[1:], alloc.act_app[1:])  # one dashed edge unactivated
+        n = inst.num_users
+        flipped = Allocation(inst.user_ids[::-1], n - 1 - alloc.flow_user, alloc.flow_app,
+                             amounts, n - 1 - alloc.act_user[1:], alloc.act_app[1:])
+        assert same.user_ids == inst.user_ids and flipped.user_ids != inst.user_ids
+        violations = verify_allocation(inst, same).violations
+        assert any("capacity exceeded" in v for v in violations)
+        assert any("unactivated dashed edge" in v for v in violations)
+        assert verify_allocation(inst, flipped).violations == violations
+
+        ghost = Allocation(inst.user_ids + ["ghost"], np.append(alloc.flow_user, n),
+                           np.append(alloc.flow_app, 0), np.append(alloc.flow_amount, 1),
+                           alloc.act_user, alloc.act_app)
+        assert verify_allocation(inst, ghost).violations == ["unknown user id 'ghost'"]
 
     def test_negative_flow(self):
         inst = simple_instance()
