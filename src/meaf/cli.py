@@ -25,7 +25,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, bench, synth
-from .heuristics import carl, dtas
 from .model import (
     InstanceError,
     canonical_dumps,
@@ -33,14 +32,7 @@ from .model import (
     read_instance,
     write_instance,
 )
-from .solvers import (
-    ExactConfig,
-    GloballyInfeasibleError,
-    check_3partition,
-    exact_solve,
-    export_milp,
-    lp_lower_bound,
-)
+from .solvers import GloballyInfeasibleError, check_3partition, export_milp
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,20 +144,8 @@ def cmd_solve(args) -> int:
     if args.format != "json":
         raise CliError("solve supports --format json only")
     inst = _load_instance(args.instance)
-    algo = args.algo
     try:
-        if algo == "exact":
-            res = exact_solve(
-                inst, ExactConfig(max_budget=args.budget, time_limit=args.time_limit)
-            )
-        elif algo == "lp":
-            res = lp_lower_bound(inst)
-        elif algo == "carl-asc":
-            res = carl(inst, "ascending")
-        elif algo == "carl-desc":
-            res = carl(inst, "descending")
-        else:
-            res = dtas(inst)
+        res = bench.run_algorithm(args.algo, inst, args.budget, args.time_limit)
     except GloballyInfeasibleError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -111,15 +111,15 @@ class Instance:
 
     Parameters are columnar: ``demands`` (int64, one per user),
     ``pre_indptr``/``pre_indices`` in CSR layout with each user's
-    preinstalled app ids sorted ascending.  ``alpha`` records that the
-    capacities came from a uniform cap fraction, so serialisation can
-    round-trip that form.
+    preinstalled app ids sorted ascending.  Pass exactly one of
+    ``capacities`` and ``alpha``: a uniform cap fraction gives every app
+    alpha times the total demand, rounded up, and serialisation
+    round-trips that form.
     """
 
-    __slots__ = (
+    # what with_capacities shares with the instance it was called on
+    _USER_SLOTS = (
         "num_apps",
-        "capacities",
-        "alpha",
         "user_ids",
         "demands",
         "pre_indptr",
@@ -128,30 +128,26 @@ class Instance:
         "_id_index",
         "_users",
     )
+    __slots__ = _USER_SLOTS + ("capacities", "alpha")
 
     def __init__(self, num_apps, capacities, user_ids, demands, pre_indptr, pre_indices, alpha=None):
-        if not isinstance(num_apps, int) or num_apps < 1:
+        if not isinstance(num_apps, int) or isinstance(num_apps, bool) or num_apps < 1:
             raise InstanceError("num_apps must be a positive integer")
-        caps = _int64_column(capacities, "capacity")
-        if caps.ndim != 1 or caps.shape[0] != num_apps:
-            raise InstanceError(
-                "capacity list length %d != num_apps %d" % (caps.size, num_apps)
-            )
-        if caps.size and int(caps.min()) < 0:
-            raise InstanceError("negative capacity for app %d" % int(np.argmin(caps)))
-        if not _sum_fits_int64(caps):
-            raise InstanceError("total capacity does not fit in int64")
 
         ids = list(user_ids)
         n = len(ids)
-        seen = set()
-        for uid in ids:
-            if not isinstance(uid, str):
-                raise InstanceError("user id must be a string, got %r" % (uid,))
-            if uid in seen:
-                raise InstanceError("duplicate user id %r" % uid)
-            seen.add(uid)
-        if "" in seen:
+        for kind in set(map(type, ids)):
+            if not issubclass(kind, str):
+                bad = next(uid for uid in ids if type(uid) is kind)
+                raise InstanceError("user id must be a string, got %r" % (bad,))
+        unique = set(ids)
+        if len(unique) != n:
+            seen = set()
+            for uid in ids:
+                if uid in seen:
+                    raise InstanceError("duplicate user id %r" % uid)
+                seen.add(uid)
+        if "" in unique:
             raise InstanceError("user id must not be empty")
 
         dem = _int64_column(demands, "demand")
@@ -165,8 +161,8 @@ class Instance:
         if not _sum_fits_int64(dem):
             raise InstanceError("total demand does not fit in int64")
 
-        indptr = np.asarray(pre_indptr, dtype=np.int64)
-        indices = np.asarray(pre_indices, dtype=np.int64)
+        indptr = _int64_column(pre_indptr, "preinstalled row pointer")
+        indices = _int64_column(pre_indices, "preinstalled app id")
         if indptr.shape != (n + 1,) or indptr[0] != 0 or int(indptr[-1]) != indices.size:
             raise InstanceError("malformed preinstalled index arrays")
         if np.any(np.diff(indptr) < 0):
@@ -179,21 +175,22 @@ class Instance:
             boundary = np.zeros(indices.size, dtype=bool)
             starts = indptr[1:-1]
             boundary[starts[starts < indices.size]] = True
-            inner = ~boundary[1:]
-            if np.any(inner & (np.diff(indices) <= 0)):
-                raise InstanceError("duplicate or unsorted preinstalled app ids")
+            step = np.diff(indices)
+            bad = np.flatnonzero(~boundary[1:] & (step <= 0))
+            if bad.size:
+                pos = int(bad[0])
+                uid = ids[int(np.searchsorted(indptr, pos, side="right")) - 1]
+                if step[pos] == 0:
+                    raise InstanceError(
+                        "duplicate preinstalled app %d for user %r" % (int(indices[pos]), uid)
+                    )
+                raise InstanceError("unsorted preinstalled app ids for user %r" % (uid,))
 
-        if alpha is not None:
-            alpha = _check_alpha(alpha, num_apps)
-
-        caps.setflags(write=False)
         dem.setflags(write=False)
         indptr.setflags(write=False)
         indices.setflags(write=False)
 
         object.__setattr__(self, "num_apps", num_apps)
-        object.__setattr__(self, "capacities", caps)
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "user_ids", ids)
         object.__setattr__(self, "demands", dem)
         object.__setattr__(self, "pre_indptr", indptr)
@@ -201,6 +198,28 @@ class Instance:
         object.__setattr__(self, "total_demand", int(dem.sum()))
         object.__setattr__(self, "_id_index", None)
         object.__setattr__(self, "_users", None)
+        self._set_capacities(capacities, alpha)
+
+    def _set_capacities(self, capacities, alpha) -> None:
+        """The capacity part of the check, and the one place a uniform cap
+        fraction becomes caps."""
+        if capacities is None:
+            alpha = _check_alpha(alpha, self.num_apps)
+            capacities = [math.ceil(alpha * self.total_demand)] * self.num_apps
+        elif alpha is not None:
+            raise InstanceError("pass exactly one of capacities / alpha")
+        caps = _int64_column(capacities, "capacity")
+        if caps.ndim != 1 or caps.shape[0] != self.num_apps:
+            raise InstanceError(
+                "capacity list length %d != num_apps %d" % (caps.size, self.num_apps)
+            )
+        if caps.size and int(caps.min()) < 0:
+            raise InstanceError("negative capacity for app %d" % int(np.argmin(caps)))
+        if not _sum_fits_int64(caps):
+            raise InstanceError("total capacity does not fit in int64")
+        caps.setflags(write=False)
+        object.__setattr__(self, "capacities", caps)
+        object.__setattr__(self, "alpha", alpha)
 
     def __setattr__(self, name, value):
         raise AttributeError("Instance is immutable")
@@ -209,45 +228,19 @@ class Instance:
 
     @classmethod
     def from_users(cls, num_apps, capacities, users, alpha=None):
-        """Build from an iterable of UserRecord / (id, demand, preinstalled)."""
-        ids = []
-        demands = []
-        indptr = [0]
-        indices = []
-        for rec in users:
-            if isinstance(rec, UserRecord):
-                uid, dem, pre = rec.id, rec.demand, rec.preinstalled
-            elif isinstance(rec, Mapping):
-                uid, dem, pre = rec["id"], rec["demand"], rec.get("preinstalled", ())
-            else:
-                uid, dem, pre = rec
-            ids.append(uid)
-            demands.append(dem)
-            row = sorted(int(a) for a in pre)
-            for a, b in zip(row, row[1:]):
-                if a == b:
-                    raise InstanceError("duplicate preinstalled app %d for user %r" % (a, uid))
-            indices.extend(row)
-            indptr.append(len(indices))
-        return cls(num_apps, capacities, ids, demands, indptr, indices, alpha=alpha)
+        """Build from an iterable of UserRecord / mapping / (id, demand, preinstalled)."""
+        return cls(num_apps, capacities, *_user_rows(map(_user_fields, users)), alpha=alpha)
 
     def with_capacities(self, capacities=None, alpha=None):
-        """Same users, new caps (explicit list or uniform ceil(alpha * T))."""
-        if (capacities is None) == (alpha is None):
-            raise ValueError("pass exactly one of capacities / alpha")
-        if alpha is not None:
-            alpha = _check_alpha(alpha, self.num_apps)
-            cap = math.ceil(alpha * self.total_demand)
-            capacities = [cap] * self.num_apps
-        return Instance(
-            self.num_apps,
-            capacities,
-            self.user_ids,
-            self.demands,
-            self.pre_indptr,
-            self.pre_indices,
-            alpha=alpha,
-        )
+        """Same users, new caps (an explicit list or a uniform fraction alpha).
+
+        The users were checked when this instance was built; the new one
+        shares their columns and caches and checks only the caps."""
+        scaled = object.__new__(Instance)
+        for name in Instance._USER_SLOTS:
+            object.__setattr__(scaled, name, getattr(self, name))
+        scaled._set_capacities(capacities, alpha)
+        return scaled
 
     # -- views ----------------------------------------------------------------
 
@@ -322,6 +315,60 @@ class Instance:
         )
 
 
+def _unknown_keys(obj: Mapping, known: set) -> str:
+    return ", ".join(sorted(map(repr, set(obj) - known)))
+
+
+def _user_fields(rec) -> tuple:
+    """(id, demand, preinstalled) of a UserRecord, a mapping or a triple."""
+    if isinstance(rec, UserRecord):
+        return rec.id, rec.demand, rec.preinstalled
+    if isinstance(rec, Mapping):
+        return rec["id"], rec["demand"], rec.get("preinstalled", ())
+    return rec
+
+
+def _user_rows(users) -> tuple[list, list, list, list]:
+    """Columns (ids, demands, indptr, indices) of (id, demand, preinstalled)
+    triples, each preinstalled row sorted; Instance checks the values."""
+    ids = []
+    demands = []
+    indptr = [0]
+    indices = []
+    for uid, dem, pre in users:
+        try:
+            row = sorted(pre)
+        except TypeError:
+            raise InstanceError(
+                "user %r preinstalled app id must be an integer, got %r" % (uid, pre)
+            ) from None
+        ids.append(uid)
+        demands.append(dem)
+        indices.extend(row)
+        indptr.append(len(indices))
+    return ids, demands, indptr, indices
+
+
+def _json_users(users):
+    """(id, demand, preinstalled) of each user object, checking only the
+    JSON shape: an object with the required keys and no others."""
+    for rec in users:
+        if not isinstance(rec, Mapping):
+            raise InstanceError("each user must be a JSON object")
+        try:
+            uid = rec["id"]
+            dem = rec["demand"]
+        except KeyError as exc:
+            raise InstanceError("user missing field %s" % exc) from None
+        pre = rec.get("preinstalled", [])
+        if not isinstance(pre, (list, tuple)):
+            raise InstanceError("user %r preinstalled must be an array" % (uid,))
+        if len(rec) != 2 + ("preinstalled" in rec):
+            unknown = _unknown_keys(rec, {"id", "demand", "preinstalled"})
+            raise InstanceError("unknown keys in user %r: %s" % (uid, unknown))
+        yield uid, dem, pre
+
+
 def validate_instance(raw) -> Instance:
     """Parse and validate raw instance data (mapping or Instance) into an Instance."""
     if isinstance(raw, Instance):
@@ -334,60 +381,22 @@ def validate_instance(raw) -> Instance:
         users = raw["users"]
     except KeyError as exc:
         raise InstanceError("missing required field %s" % exc) from None
-    if not isinstance(num_apps, int) or isinstance(num_apps, bool):
-        raise InstanceError("num_apps must be an integer")
+    if len(raw) != 3:
+        unknown = _unknown_keys(raw, {"num_apps", "capacities", "users"})
+        raise InstanceError("unknown keys in instance: %s" % unknown)
 
     alpha = None
     if isinstance(cap_field, Mapping):
         if set(cap_field) != {"alpha"}:
             raise InstanceError("capacities object must have exactly the key 'alpha'")
-        if num_apps < 1:
-            raise InstanceError("num_apps must be a positive integer")
-        alpha = _check_alpha(cap_field["alpha"], num_apps)
-        capacities = None
-    elif isinstance(cap_field, (list, tuple)):
-        capacities = cap_field
-    else:
+        alpha = cap_field["alpha"]
+        cap_field = None
+    elif not isinstance(cap_field, (list, tuple)):
         raise InstanceError("capacities must be an array or an object with key 'alpha'")
-
-    ids = []
-    demands = []
-    indptr = [0]
-    indices = []
-    if not isinstance(users, Sequence):
+    if not isinstance(users, (list, tuple)):
         raise InstanceError("users must be an array")
-    for rec in users:
-        if not isinstance(rec, Mapping):
-            raise InstanceError("each user must be a JSON object")
-        try:
-            uid = rec["id"]
-            dem = rec["demand"]
-        except KeyError as exc:
-            raise InstanceError("user missing field %s" % exc) from None
-        if not isinstance(dem, int) or isinstance(dem, bool):
-            raise InstanceError("user %r demand must be an integer" % (uid,))
-        pre = rec.get("preinstalled", [])
-        if not isinstance(pre, (list, tuple)):
-            raise InstanceError("user %r preinstalled must be an array" % (uid,))
-        for a in pre:
-            if type(a) is not int:
-                raise InstanceError(
-                    "user %r preinstalled app id must be an integer, got %r" % (uid, a)
-                )
-        row = sorted(pre)
-        for a, b in zip(row, row[1:]):
-            if a == b:
-                raise InstanceError("duplicate preinstalled app %d for user %r" % (a, uid))
-        ids.append(uid)
-        demands.append(dem)
-        indices.extend(row)
-        indptr.append(len(indices))
 
-    if alpha is not None:
-        total = sum(demands)
-        capacities = [math.ceil(alpha * total)] * num_apps
-
-    return Instance(num_apps, capacities, ids, demands, indptr, indices, alpha=alpha)
+    return Instance(num_apps, cap_field, *_user_rows(_json_users(users)), alpha=alpha)
 
 
 def dashed_edges(inst: Instance) -> Iterator[tuple[str, int]]:
@@ -653,6 +662,14 @@ class VerificationReport:
     violations: list[str]
 
 
+def _sorted_member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """np.isin(keys, sorted_keys) for an ascending sorted_keys, by binary search."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys).clip(max=sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
+
+
 def verify_allocation(inst: Instance, alloc: Allocation) -> VerificationReport:
     """Check an allocation against an instance.
 
@@ -756,7 +773,7 @@ def verify_allocation(inst: Instance, alloc: Allocation) -> VerificationReport:
         )
 
     if act_keys.size:
-        in_solid = np.isin(act_keys, solid_keys)
+        in_solid = _sorted_member(act_keys, solid_keys)
         for key in act_keys[in_solid][:10].tolist():
             violations.append(
                 "activated pair (%r, %d) is a preinstalled edge" % (inst.user_ids[key // m], key % m)
@@ -766,8 +783,8 @@ def verify_allocation(inst: Instance, alloc: Allocation) -> VerificationReport:
     if fu.size:
         pos = fx > 0
         fkeys = (fu * m + fa)[pos]
-        dashed = ~np.isin(fkeys, solid_keys)
-        missing = dashed & ~np.isin(fkeys, act_keys)
+        dashed = ~_sorted_member(fkeys, solid_keys)
+        missing = dashed & ~_sorted_member(fkeys, act_keys)
         for key in fkeys[missing][:10].tolist():
             violations.append(
                 "unactivated dashed edge (%r, %d)" % (inst.user_ids[key // m], key % m)

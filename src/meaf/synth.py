@@ -17,7 +17,6 @@ exponential-race equivalence (smallest -log(u)/w keys).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
@@ -179,14 +178,12 @@ def generate(cfg: GenConfig) -> Instance:
     pre_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=pre_indptr[1:])
 
-    total = int(demands.sum())
-    cap = math.ceil(cfg.alpha * total)
     width = len(str(n - 1)) if n > 1 else 1
     user_ids = ["u%0*d" % (width, i) for i in range(n)]
 
     return Instance(
         m,
-        [cap] * m,
+        None,
         user_ids,
         demands,
         pre_indptr,

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +241,31 @@ def test_run_comparison_force_overrides_skip(tmp_path):
 def test_run_comparison_rejects_unknown_algorithm(tmp_path):
     with pytest.raises(ValueError, match="unknown algorithm"):
         run_comparison(_specs()[:1], ("exact", "newton"), tmp_path / "x")
+
+
+# ------------------------------------------------------------ trace guard
+
+
+def test_perfbench_trace_sees_the_sweep_layers():
+    # perfbench/tracing.py wraps package functions by attribute name; a
+    # refactor that moves one of these calls elsewhere would leave its
+    # layer reading 0 without any error
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from meaf import _kernels, heuristics, model, solvers, synth
+
+    inst = generate(GenConfig(num_users=200, num_transactions=3000, num_apps=5,
+                              alpha=0.3, seed=1))
+    tracer = tracing.Tracer()
+    tracer.install((_kernels, bench, heuristics, model, solvers, synth))
+    try:
+        bench.sweep_capacity(inst, [0.25, 0.5], "dtas")
+        bench.tail_drop_eval(inst, [0.25, 0.5])
+    finally:
+        tracer.uninstall()
+    assert bench.tail_drop_eval is tail_drop_eval
+    metrics = tracer.layer_metrics([tracer.phase])
+    for name in ("model.with_capacities_s", "heuristics.dtas_s", "bench.tail_drop_s"):
+        assert metrics[name]["value"] > 0, name

@@ -193,8 +193,13 @@ def test_solve_corrupt_instance_exits_2(tmp_path, capsys):
      "preinstalled app id must be an integer"),
     ('{"num_apps": 2, "capacities": [5, 5], "users": [{"id": "a", "demand": 1, "preinstalled": ["1"]}]}',
      "preinstalled app id must be an integer"),
+    ('{"num_apps": 1, "capacities": [5], "users": [{"id": "a", "demand": 1}], "alpha": 0.5}',
+     "unknown keys in instance: 'alpha'"),
+    ('{"num_apps": 1, "capacities": [5], "users": [{"id": "a", "demand": 1, "apps": [0]}]}',
+     "unknown keys in user 'a': 'apps'"),
 ], ids=["demand-total", "alpha-infinity", "alpha-bool", "alpha-string", "capacities-number",
-        "preinstalled-number", "preinstalled-float", "preinstalled-bool", "preinstalled-string"])
+        "preinstalled-number", "preinstalled-float", "preinstalled-bool", "preinstalled-string",
+        "unknown-top-level-key", "unknown-user-key"])
 def test_solve_out_of_range_instance_exits_2(tmp_path, capsys, doc, reason):
     path = tmp_path / "wide.json"
     path.write_text(doc)

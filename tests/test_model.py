@@ -1,9 +1,12 @@
 import json
+import math
 from fractions import Fraction
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import meaf
 from meaf import (
@@ -22,6 +25,7 @@ from meaf import (
     write_instance,
 )
 from meaf.model import (
+    _sorted_member,
     allocation_from_dict,
     allocation_to_dict,
     canonical_dumps,
@@ -36,6 +40,79 @@ def simple_instance():
     return Instance.from_users(
         2, [3, 3], [("u0", 4, [0]), ("u1", 1, [0]), ("u2", 1, [0])]
     )
+
+
+_INSTANCE_SCHEMA = jsonschema.Draft7Validator(json.loads(
+    resources.files("meaf").joinpath("data/schemas/instance.schema.json").read_text()
+))
+
+
+def _semantic_checks_pass(doc) -> bool:
+    """What a schema-valid instance document must meet beyond the schema."""
+    m, caps, users = doc["num_apps"], doc["capacities"], doc["users"]
+    apps = [a for u in users for a in u.get("preinstalled", [])]
+    demands = [u["demand"] for u in users]
+    integers = [m, *demands, *apps, *(caps if isinstance(caps, list) else [])]
+    # the schema's "integer" also matches 2.0; the reader takes JSON integers only
+    if any(type(v) is not int for v in integers):
+        return False
+    if any(a >= m for a in apps):
+        return False
+    ids = [u["id"] for u in users]
+    if len(set(ids)) != len(ids):
+        return False
+    total = sum(demands)
+    if isinstance(caps, dict):
+        alpha = float(caps["alpha"])
+        if not (math.isfinite(alpha) and alpha >= 1 / m):
+            return False
+        caps = [math.ceil(alpha * total)] * m
+    elif len(caps) != m:
+        return False
+    return max([*demands, total, *caps, sum(caps)]) <= 2**63 - 1
+
+
+def _mostly(good, *edges):
+    """Mostly good, else one of the edge values or strategies; the rare
+    branch is a middle value, since hypothesis favours the ends of a range."""
+    bad = st.one_of(*(e if isinstance(e, st.SearchStrategy) else st.just(e) for e in edges))
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 5 else good)
+
+
+@st.composite
+def _near_schema_documents(draw):
+    """Instance documents at and just past the schema's edges."""
+    m = draw(_mostly(st.integers(1, 3), 0, -1, True, 2.0, "2", None))
+    width = m if type(m) is int and m > 0 else 2
+    cap = _mostly(st.integers(0, 5), -1, 2**62, 2**63 - 1, 2**63, 1.5, 2.0, True, "3", None)
+    alpha = _mostly(st.sampled_from([0.34, 0.5, 1, 1.0]),
+                    0.25, 0, -0.5, 1e300, math.inf, math.nan, True, "0.5", None)
+    caps = draw(_mostly(
+        st.lists(cap, min_size=width, max_size=width) | st.fixed_dictionaries({"alpha": alpha}),
+        st.lists(cap, min_size=width - 1, max_size=width - 1),
+        st.lists(cap, min_size=width + 1, max_size=width + 1),
+        5, {}, {"alpha": 0.5, "x": 1},
+    ))
+    app = _mostly(st.integers(0, width), -1, True, 1.5, 1.0, "1", None)
+    pre = _mostly(st.lists(app, max_size=3), 0, None, {})
+    users = []
+    for i in range(draw(st.integers(0, 3))):
+        rec = {"id": draw(_mostly(st.just("u%d" % i), "u0", "", 7, None)),
+               "demand": draw(_mostly(st.integers(1, 4), 0, 2**62, 2**63, 1.5, 2.0, True, "2"))}
+        if draw(st.booleans()):
+            rec["preinstalled"] = draw(pre)
+        if draw(st.integers(0, 19)) == 5:
+            rec["extra"] = 1
+        users.append(draw(_mostly(st.just(rec), "u", 5, None)))
+    doc = {"num_apps": m, "capacities": caps, "users": draw(_mostly(st.just(users), "u", 5, {}))}
+    edit = draw(st.integers(0, 19))
+    if edit == 5:
+        doc["extra"] = 1
+    elif edit == 6:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif edit == 7:
+        return [doc]
+    return doc
 
 
 class TestUserRecord:
@@ -102,6 +179,46 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError, match="duplicate preinstalled app"):
             Instance.from_users(2, [3, 3], [("u", 1, [0, 0])])
 
+    def test_preinstalled_rows_checked_by_init(self):
+        # the CSR check names the user and app of a duplicate, and an
+        # unsorted row, which the row builder never produces, is rejected
+        with pytest.raises(InstanceError, match="duplicate preinstalled app 1 for user 'b'"):
+            Instance(2, [5, 5], ["a", "b"], [3, 1], [0, 1, 3], [0, 1, 1])
+        with pytest.raises(InstanceError, match="unsorted preinstalled app ids for user 'a'"):
+            Instance(2, [5, 5], ["a", "b"], [3, 1], [0, 2, 2], [1, 0])
+
+    @pytest.mark.parametrize("app", [1.7, True, "1"], ids=["float", "bool", "string"])
+    def test_non_integer_app_id_rejected(self, app):
+        with pytest.raises(InstanceError, match="preinstalled app id must be an integer"):
+            Instance.from_users(2, [5, 5], [("a", 1, [app])])
+        with pytest.raises(InstanceError, match="preinstalled app id must be an integer"):
+            Instance.from_users(2, [5, 5], [("a", 1, [0, app])])
+        with pytest.raises(InstanceError, match="preinstalled app id must be an integer"):
+            Instance(2, [5, 5], ["a"], [1], [0, 1], [app])
+
+    def test_float_index_arrays_rejected(self):
+        # a cast would truncate 0.9 to app 0
+        with pytest.raises(InstanceError, match="preinstalled app id must be an integer"):
+            Instance(2, [5, 5], ["a"], [3], [0, 1], np.array([0.9]))
+        with pytest.raises(InstanceError, match="must be an integer"):
+            Instance(2, [5, 5], ["a"], [3], np.array([0.0, 1.0]), [0])
+
+    @pytest.mark.parametrize("num_apps", [True, 2.0, "2", 0])
+    def test_num_apps_must_be_a_positive_int(self, num_apps):
+        with pytest.raises(InstanceError, match="num_apps must be a positive integer"):
+            Instance(num_apps, [5, 5], ["a"], [3], [0, 1], [0])
+
+    def test_exactly_one_of_capacities_and_alpha(self):
+        with pytest.raises(InstanceError, match="exactly one of capacities / alpha"):
+            Instance(2, [1, 100], ["a"], [3], [0, 1], [1], alpha=0.5)
+        with pytest.raises(InstanceError, match="alpha must be a number"):
+            Instance(2, None, ["a"], [3], [0, 1], [1])
+        # alpha alone derives the caps, and the written form reads back the same
+        inst = Instance(2, None, ["a"], [3], [0, 1], [1], alpha=0.5)
+        assert inst.capacities.tolist() == [2, 2] and inst.alpha == 0.5
+        back = instance_from_dict(instance_to_dict(inst))
+        assert back.capacities.tolist() == [2, 2] and back.alpha == 0.5
+
     def test_alpha_floor(self):
         with pytest.raises(InstanceError, match="alpha below 1/num_apps"):
             simple_instance().with_capacities(alpha=0.4)
@@ -166,6 +283,24 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             simple_instance().with_capacities()
 
+    def test_with_capacities_shares_the_users(self):
+        inst = simple_instance()
+        assert inst.user_index("u2") == 2  # fills the id cache
+        scaled = inst.with_capacities(alpha=0.5)
+        for name in ("user_ids", "demands", "pre_indptr", "pre_indices", "_id_index"):
+            assert getattr(scaled, name) is getattr(inst, name)
+        assert scaled.total_demand == inst.total_demand
+        assert inst.capacities.tolist() == [3, 3] and inst.alpha is None
+        # the caps are still checked
+        with pytest.raises(InstanceError, match="exactly one of capacities / alpha"):
+            inst.with_capacities(capacities=[3, 3], alpha=0.5)
+        with pytest.raises(InstanceError, match="capacity list length 1"):
+            inst.with_capacities(capacities=[3])
+        with pytest.raises(InstanceError, match="negative capacity"):
+            inst.with_capacities(capacities=[3, -1])
+        with pytest.raises(InstanceError, match="capacity must be an integer"):
+            inst.with_capacities(capacities=[3, 1.5])
+
     def test_user_index_and_is_solid(self):
         inst = simple_instance()
         assert inst.user_index("u1") == 1
@@ -223,6 +358,35 @@ class TestValidateInstance:
     def test_instance_passthrough(self):
         inst = simple_instance()
         assert validate_instance(inst) is inst
+
+    def test_unknown_keys_rejected(self):
+        user = {"id": "u", "demand": 1}
+        with pytest.raises(InstanceError, match="unknown keys in instance: 'alpha'"):
+            validate_instance({"num_apps": 1, "capacities": [5], "users": [user], "alpha": 1})
+        with pytest.raises(InstanceError, match="unknown keys in user 'u': 'pre'"):
+            validate_instance({"num_apps": 1, "capacities": [5], "users": [dict(user, pre=[0])]})
+        with pytest.raises(InstanceError, match="unknown keys in user 'u': 'x'"):
+            validate_instance({"num_apps": 1, "capacities": [5],
+                               "users": [dict(user, preinstalled=[0], x=None)]})
+
+    def test_preinstalled_rows_are_sorted(self):
+        inst = validate_instance({"num_apps": 3, "capacities": [5, 5, 5],
+                                  "users": [{"id": "u", "demand": 1, "preinstalled": [2, 0]}]})
+        assert inst.pre_indices.tolist() == [0, 2]
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_schema_parity(self, data):
+        # the reader accepts a document iff the JSON Schema does and the
+        # checks the schema cannot state pass
+        doc = data.draw(_near_schema_documents())
+        accepted = _INSTANCE_SCHEMA.is_valid(doc) and _semantic_checks_pass(doc)
+        try:
+            validate_instance(doc)
+        except InstanceError:
+            assert not accepted, doc
+        else:
+            assert accepted, doc
 
 
 class TestDashedEdges:
@@ -432,6 +596,14 @@ class TestVerifyAllocation:
                            np.append(alloc.flow_app, 0), np.append(alloc.flow_amount, 1),
                            alloc.act_user, alloc.act_app)
         assert verify_allocation(inst, ghost).violations == ["unknown user id 'ghost'"]
+
+    @given(st.lists(st.integers(-5, 40), max_size=30), st.lists(st.integers(-5, 40), max_size=30))
+    def test_sorted_member_matches_isin(self, keys, haystack):
+        keys = np.array(keys, dtype=np.int64)
+        haystack = np.unique(np.array(haystack, dtype=np.int64))
+        got = _sorted_member(keys, haystack)
+        assert got.dtype == bool
+        assert got.tolist() == np.isin(keys, haystack).tolist()
 
     def test_negative_flow(self):
         inst = simple_instance()
