@@ -13,9 +13,11 @@ Instances are immutable after validation.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -94,6 +96,13 @@ def _int64_column(values, what: str) -> np.ndarray:
     return column.astype(np.int64, copy=False)
 
 
+def _check_str_ids(ids: list) -> None:
+    for kind in set(map(type, ids)):
+        if not issubclass(kind, str):
+            bad = next(uid for uid in ids if type(uid) is kind)
+            raise InstanceError("user id must be a string, got %r" % (bad,))
+
+
 def _sum_fits_int64(column: np.ndarray) -> bool:
     """Whether a column of non-negative int64 values sums within int64."""
     if not column.size or int(column.max()) * column.size <= _INT64_MAX:
@@ -104,6 +113,33 @@ def _sum_fits_int64(column: np.ndarray) -> bool:
 def canonical_dumps(obj) -> str:
     """Canonical JSON: sorted keys, compact separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector over bulk JSON work.
+
+    json.load and the writers' dict builders create millions of lists and
+    dicts, and each collector pass would rescan all of them.  Those trees
+    hold no reference cycles, so reference counting still frees them; only
+    cycle collection waits.  A caller that had the collector off keeps it off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_json(fh):
+    """json.load, with a document nested past the parser's recursion limit
+    rejected like any other invalid document."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise InstanceError("JSON document is nested too deeply") from None
 
 
 class Instance:
@@ -136,10 +172,7 @@ class Instance:
 
         ids = list(user_ids)
         n = len(ids)
-        for kind in set(map(type, ids)):
-            if not issubclass(kind, str):
-                bad = next(uid for uid in ids if type(uid) is kind)
-                raise InstanceError("user id must be a string, got %r" % (bad,))
+        _check_str_ids(ids)
         unique = set(ids)
         if len(unique) != n:
             seen = set()
@@ -205,7 +238,13 @@ class Instance:
         fraction becomes caps."""
         if capacities is None:
             alpha = _check_alpha(alpha, self.num_apps)
-            capacities = [math.ceil(alpha * self.total_demand)] * self.num_apps
+            cap = math.ceil(alpha * self.total_demand)
+            try:
+                capacities = np.full(self.num_apps, cap, dtype=np.int64)
+            except (ValueError, OverflowError, MemoryError) as exc:
+                raise InstanceError(
+                    "cannot build caps of %d for %d apps: %s" % (cap, self.num_apps, exc)
+                ) from None
         elif alpha is not None:
             raise InstanceError("pass exactly one of capacities / alpha")
         caps = _int64_column(capacities, "capacity")
@@ -510,14 +549,20 @@ class Allocation:
 
 
 def allocation_to_dict(alloc: Allocation) -> dict:
+    ids = alloc.user_ids
     order = np.lexsort((alloc.flow_app, alloc.flow_user))
     flows = [
-        [alloc.user_ids[int(alloc.flow_user[i])], int(alloc.flow_app[i]), int(alloc.flow_amount[i])]
-        for i in order
+        [ids[u], a, x]
+        for u, a, x in zip(
+            alloc.flow_user[order].tolist(),
+            alloc.flow_app[order].tolist(),
+            alloc.flow_amount[order].tolist(),
+        )
     ]
     aorder = np.lexsort((alloc.act_app, alloc.act_user))
     activated = [
-        [alloc.user_ids[int(alloc.act_user[i])], int(alloc.act_app[i])] for i in aorder
+        [ids[u], a]
+        for u, a in zip(alloc.act_user[aorder].tolist(), alloc.act_app[aorder].tolist())
     ]
     return {
         "flows": flows,
@@ -526,54 +571,83 @@ def allocation_to_dict(alloc: Allocation) -> dict:
     }
 
 
+def _json_rows(rows, width: int, what: str) -> list:
+    """rows, checked to be an array of arrays of exactly width items."""
+    if not isinstance(rows, (list, tuple)):
+        raise InstanceError("%s must be an array" % what)
+    for kind in set(map(type, rows)):
+        if kind is not list and kind is not tuple:
+            bad = next(r for r in rows if type(r) is kind)
+            raise InstanceError("%s row must be an array, got %r" % (what, bad))
+    if set(map(len, rows)) - {width}:
+        bad = next(r for r in rows if len(r) != width)
+        raise InstanceError("%s row must have %d items, got %r" % (what, width, bad))
+    return rows
+
+
 def allocation_from_dict(raw: Mapping) -> Allocation:
-    ids = []
-    index = {}
+    """Parse an allocation document; InstanceError for every document that
+    allocation.schema.json rejects, and for integers outside int64."""
+    if not isinstance(raw, Mapping):
+        raise InstanceError("allocation data must be a JSON object")
+    try:
+        flows = _json_rows(raw["flows"], 3, "flows")
+        activated = _json_rows(raw["activated"], 2, "activated")
+        unallocated = raw["unallocated"]
+    except KeyError as exc:
+        raise InstanceError("missing required field %s" % exc) from None
+    if len(raw) != 3:
+        unknown = _unknown_keys(raw, {"flows", "activated", "unallocated"})
+        raise InstanceError("unknown keys in allocation: %s" % unknown)
+    if not isinstance(unallocated, Mapping):
+        raise InstanceError("unallocated must be an object")
 
-    def idx(uid):
-        if uid not in index:
-            index[uid] = len(ids)
-            ids.append(uid)
-        return index[uid]
+    flow_ids = [r[0] for r in flows]
+    act_ids = [r[0] for r in activated]
+    un_ids = list(unallocated)
+    all_ids = flow_ids + act_ids + un_ids
+    _check_str_ids(all_ids)
+    # users are numbered in order of first appearance
+    ids = list(dict.fromkeys(all_ids))
+    index = dict(zip(ids, range(len(ids))))
+    fu, au, uu = ([index[uid] for uid in uids] for uids in (flow_ids, act_ids, un_ids))
 
-    fu, fa, fx = [], [], []
-    for trip in raw.get("flows", []):
-        uid, a, x = trip
-        fu.append(idx(uid)); fa.append(int(a)); fx.append(int(x))
-    au, aa = [], []
-    for pair in raw.get("activated", []):
-        uid, a = pair
-        au.append(idx(uid)); aa.append(int(a))
-    uu, ux = [], []
-    for uid, x in raw.get("unallocated", {}).items():
-        uu.append(idx(uid)); ux.append(int(x))
+    columns = []
+    for values, low, what in (
+        ([r[1] for r in flows], 0, "flow app id"),
+        ([r[2] for r in flows], 1, "flow amount"),
+        ([r[1] for r in activated], 0, "activated app id"),
+        (list(unallocated.values()), 1, "unallocated amount"),
+    ):
+        column = _int64_column(values, what)
+        if column.size and int(column.min()) < low:
+            raise InstanceError("%s must be at least %d, got %d" % (what, low, int(column.min())))
+        columns.append(column)
+    fa, fx, aa, ux = columns
     return Allocation(ids, fu, fa, fx, au, aa, uu, ux)
 
 
 def write_allocation(alloc: Allocation, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh, _gc_paused():
         fh.write(canonical_dumps(allocation_to_dict(alloc)))
 
 
 def read_allocation(path) -> Allocation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return allocation_from_dict(json.load(fh))
+    with open(path, "r", encoding="utf-8") as fh, _gc_paused():
+        return allocation_from_dict(_load_json(fh))
 
 
 def instance_to_dict(inst: Instance) -> dict:
     if inst.alpha is not None:
         caps = {"alpha": inst.alpha}
     else:
-        caps = [int(c) for c in inst.capacities]
-    users = []
-    for i, uid in enumerate(inst.user_ids):
-        users.append(
-            {
-                "id": uid,
-                "demand": int(inst.demands[i]),
-                "preinstalled": [int(a) for a in inst.preinstalled_of(i)],
-            }
-        )
+        caps = inst.capacities.tolist()
+    indptr = inst.pre_indptr.tolist()
+    indices = inst.pre_indices.tolist()
+    users = [
+        {"id": uid, "demand": dem, "preinstalled": indices[lo:hi]}
+        for uid, dem, lo, hi in zip(inst.user_ids, inst.demands.tolist(), indptr, indptr[1:])
+    ]
     return {"num_apps": inst.num_apps, "capacities": caps, "users": users}
 
 
@@ -582,13 +656,13 @@ def instance_from_dict(raw: Mapping) -> Instance:
 
 
 def write_instance(inst: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh, _gc_paused():
         fh.write(canonical_dumps(instance_to_dict(inst)))
 
 
 def read_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_instance(json.load(fh))
+    with open(path, "r", encoding="utf-8") as fh, _gc_paused():
+        return validate_instance(_load_json(fh))
 
 
 # -- results -------------------------------------------------------------------

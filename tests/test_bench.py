@@ -246,20 +246,26 @@ def test_run_comparison_rejects_unknown_algorithm(tmp_path):
 # ------------------------------------------------------------ trace guard
 
 
-def test_perfbench_trace_sees_the_sweep_layers():
-    # perfbench/tracing.py wraps package functions by attribute name; a
-    # refactor that moves one of these calls elsewhere would leave its
-    # layer reading 0 without any error
+def _perfbench_tracer():
+    """A perfbench Tracer, installed on meaf's modules."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     from meaf import _kernels, heuristics, model, solvers, synth
 
-    inst = generate(GenConfig(num_users=200, num_transactions=3000, num_apps=5,
-                              alpha=0.3, seed=1))
     tracer = tracing.Tracer()
     tracer.install((_kernels, bench, heuristics, model, solvers, synth))
+    return tracer
+
+
+def test_perfbench_trace_sees_the_sweep_layers():
+    # perfbench/tracing.py wraps package functions by attribute name; a
+    # refactor that moves one of these calls elsewhere would leave its
+    # layer reading 0 without any error
+    inst = generate(GenConfig(num_users=200, num_transactions=3000, num_apps=5,
+                              alpha=0.3, seed=1))
+    tracer = _perfbench_tracer()
     try:
         bench.sweep_capacity(inst, [0.25, 0.5], "dtas")
         bench.tail_drop_eval(inst, [0.25, 0.5])
@@ -268,4 +274,26 @@ def test_perfbench_trace_sees_the_sweep_layers():
     assert bench.tail_drop_eval is tail_drop_eval
     metrics = tracer.layer_metrics([tracer.phase])
     for name in ("model.with_capacities_s", "heuristics.dtas_s", "bench.tail_drop_s"):
+        assert metrics[name]["value"] > 0, name
+
+
+def test_perfbench_trace_sees_the_io_layers(tmp_path):
+    # the population workload's plan: the I/O layers must stay visible to
+    # the trace by the names it wraps
+    from meaf import heuristics, model
+
+    inst = generate(GenConfig(num_users=200, num_transactions=3000, num_apps=5,
+                              alpha=0.3, seed=1))
+    tracer = _perfbench_tracer()
+    try:
+        model.write_instance(inst, tmp_path / "instance.json")
+        back = model.read_instance(tmp_path / "instance.json")
+        res = heuristics.dtas(back)
+        assert model.verify_allocation(back, res.allocation).ok
+        model.write_allocation(res.allocation, tmp_path / "allocation.json")
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics([tracer.phase])
+    for name in ("model.write_instance_s", "model.instance_bytes", "model.read_instance_s",
+                 "model.verify_s", "model.write_allocation_s", "model.allocation_bytes"):
         assert metrics[name]["value"] > 0, name

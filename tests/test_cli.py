@@ -197,9 +197,17 @@ def test_solve_corrupt_instance_exits_2(tmp_path, capsys):
      "unknown keys in instance: 'alpha'"),
     ('{"num_apps": 1, "capacities": [5], "users": [{"id": "a", "demand": 1, "apps": [0]}]}',
      "unknown keys in user 'a': 'apps'"),
+    # numpy refuses both column sizes before allocating anything
+    ('{"num_apps": 9223372036854775808, "capacities": {"alpha": 0.5},'
+     ' "users": [{"id": "a", "demand": 1}]}', "cannot build caps"),
+    ('{"num_apps": 4611686018427387904, "capacities": {"alpha": 0.5},'
+     ' "users": [{"id": "a", "demand": 1}]}', "cannot build caps"),
+    ('{"num_apps": 1, "capacities": [5], "users": %s%s}' % ("[" * 200000, "]" * 200000),
+     "nested too deeply"),
 ], ids=["demand-total", "alpha-infinity", "alpha-bool", "alpha-string", "capacities-number",
         "preinstalled-number", "preinstalled-float", "preinstalled-bool", "preinstalled-string",
-        "unknown-top-level-key", "unknown-user-key"])
+        "unknown-top-level-key", "unknown-user-key", "num-apps-2-63", "num-apps-2-62",
+        "over-deep-users"])
 def test_solve_out_of_range_instance_exits_2(tmp_path, capsys, doc, reason):
     path = tmp_path / "wide.json"
     path.write_text(doc)

@@ -1,5 +1,8 @@
+import gc
+import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -42,9 +45,14 @@ def simple_instance():
     )
 
 
-_INSTANCE_SCHEMA = jsonschema.Draft7Validator(json.loads(
-    resources.files("meaf").joinpath("data/schemas/instance.schema.json").read_text()
-))
+def _schema(name):
+    return jsonschema.Draft7Validator(json.loads(
+        resources.files("meaf").joinpath("data/schemas", name).read_text()
+    ))
+
+
+_INSTANCE_SCHEMA = _schema("instance.schema.json")
+_ALLOCATION_SCHEMA = _schema("allocation.schema.json")
 
 
 def _semantic_checks_pass(doc) -> bool:
@@ -108,6 +116,40 @@ def _near_schema_documents(draw):
     edit = draw(st.integers(0, 19))
     if edit == 5:
         doc["extra"] = 1
+    elif edit == 6:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif edit == 7:
+        return [doc]
+    return doc
+
+
+def _allocation_semantics_pass(doc) -> bool:
+    """What a schema-valid allocation document must meet beyond the schema:
+    JSON integers (the schema's "integer" also matches 2.0) within int64."""
+    values = [v for row in doc["flows"] + doc["activated"] for v in row[1:]]
+    values += doc["unallocated"].values()
+    return all(type(v) is int and v <= 2**63 - 1 for v in values)
+
+
+@st.composite
+def _near_schema_allocations(draw):
+    """Allocation documents at and just past the schema's edges."""
+    uid = _mostly(st.sampled_from(["a", "b", "", "\u00fc"]), 7, None, ["a"])
+    app = _mostly(st.integers(0, 3), -1, 2**63 - 1, 2**63, 1.5, 1.0, True, "1", None)
+    amount = _mostly(st.integers(1, 4), 0, -1, 2**63, 2.5, 2.0, True, "3", None)
+
+    def rows(*items):
+        row = _mostly(st.tuples(*items).map(list), st.tuples(*items[:-1]).map(list),
+                      st.tuples(*items, amount).map(list), "abc", None, {})
+        return _mostly(st.lists(row, max_size=3), "x", None, {})
+
+    unallocated = _mostly(st.dictionaries(st.sampled_from(["a", "b"]), amount, max_size=2),
+                          [], None, "x")
+    doc = {"flows": draw(rows(uid, app, amount)), "activated": draw(rows(uid, app)),
+           "unallocated": draw(unallocated)}
+    edit = draw(st.integers(0, 19))
+    if edit == 5:
+        doc["bogus"] = 1
     elif edit == 6:
         del doc[draw(st.sampled_from(sorted(doc)))]
     elif edit == 7:
@@ -446,6 +488,54 @@ class TestRoundTrips:
         assert back.activated == res.allocation.activated
         assert back.unallocated == res.allocation.unallocated
 
+    def test_writer_bytes_pinned(self, tmp_path):
+        # canonical files are byte-stable (docs/formats.md): these digests
+        # must not move when the writers change
+        inst = meaf.generate(meaf.GenConfig(num_users=10**4, num_transactions=2 * 10**5,
+                                            num_apps=15, alpha=0.08, seed=1))
+        explicit = inst.with_capacities(capacities=list(range(16000, 16015)))
+        write_instance(inst, tmp_path / "alpha.json")
+        write_instance(explicit, tmp_path / "explicit.json")
+        write_allocation(meaf.dtas(inst).allocation, tmp_path / "dtas.json")
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("alpha.json", "explicit.json", "dtas.json")}
+        assert digests == {
+            "alpha.json": "7afb76817e8081d81d903892e0a00f41d0baa5cc8947945b03244407b923ca97",
+            "explicit.json": "7a1578469503a3e1f9d186c50fa36af17629222dcc02df87f0fbaf9fec1a17f7",
+            "dtas.json": "647834b5a17ea229e34229679d0dc41c2bd81ee84f1b62a77fc724e856d1d8d5",
+        }
+        # non-ASCII ids are escaped; a user without preinstalls gets []
+        small = Instance.from_users(2, [5, 4], [("\u00fc-1", 2, [1]), ("\u65e5\u672c", 3, [])])
+        write_instance(small, tmp_path / "small.json")
+        assert (tmp_path / "small.json").read_bytes() == (
+            b'{"capacities":[5,4],"num_apps":2,"users":[{"demand":2,"id":"\\u00fc-1",'
+            b'"preinstalled":[1]},{"demand":3,"id":"\\u65e5\\u672c","preinstalled":[]}]}\n'
+        )
+
+    @staticmethod
+    def _reads_back(res):
+        doc = allocation_to_dict(res.allocation)
+        assert _ALLOCATION_SCHEMA.is_valid(doc), (res.algorithm, doc)
+        assert allocation_to_dict(allocation_from_dict(doc)) == doc
+
+    @given(tiny_instances())
+    def test_written_allocations_read_back(self, inst):
+        # every allocation the package writes is schema-valid, so the
+        # strict reader takes it back unchanged
+        results = [meaf.dtas(inst), meaf.carl(inst, "ascending"), meaf.carl(inst, "descending")]
+        if inst.total_demand <= int(inst.capacities.sum()):
+            results += [meaf.exact_solve(inst), meaf.lp_lower_bound(inst)]
+        for res in results:
+            self._reads_back(res)
+
+    def test_short_allocations_read_back(self):
+        inst = meaf.generate(meaf.GenConfig(num_users=2000, num_transactions=40000,
+                                            num_apps=15, alpha=0.08, seed=1))
+        short = inst.with_capacities(capacities=(inst.capacities // 2).tolist())
+        for res in (meaf.dtas(short), meaf.carl(short, "ascending")):
+            assert res.total_unallocated > 0
+            self._reads_back(res)
+
     def test_allocation_dict_is_sorted(self):
         alloc = allocation_from_dict(
             {
@@ -458,6 +548,86 @@ class TestRoundTrips:
         assert d["flows"] == [["b", 1, 2], ["a", 0, 1], ["a", 1, 1]]
         assert d["activated"] == [["b", 1], ["a", 1]]
         assert d["unallocated"] == {"b": 3}
+
+
+class TestReadAllocation:
+    @pytest.mark.parametrize("doc, reason", [
+        ({"flows": [["a", 1.7, "3"]], "activated": [], "unallocated": {}},
+         "flow app id must be an integer, got 1.7"),
+        ({"flows": [["a", 1, "3"]], "activated": [], "unallocated": {}},
+         "flow amount must be an integer, got '3'"),
+        ({"flows": [], "activated": [["a", True]], "unallocated": {}},
+         "activated app id must be an integer, got True"),
+        ({"flows": [], "activated": [], "unallocated": {"a": 2.5}},
+         "unallocated amount must be an integer, got 2.5"),
+        ({"flows": [], "bogus": 1}, "missing required field 'activated'"),
+        ({"flows": [], "activated": [], "unallocated": {}, "bogus": 1},
+         "unknown keys in allocation: 'bogus'"),
+        ({"flows": [["a", 1]], "activated": [], "unallocated": {}},
+         "flows row must have 3 items, got ['a', 1]"),
+        ({"flows": ["abc"], "activated": [], "unallocated": {}}, "flows row must be an array"),
+        ({"flows": [[7, 1, 2]], "activated": [], "unallocated": {}},
+         "user id must be a string, got 7"),
+        ({"flows": [["a", -1, 2]], "activated": [], "unallocated": {}},
+         "flow app id must be at least 0, got -1"),
+        ({"flows": [["a", 1, 0]], "activated": [], "unallocated": {}},
+         "flow amount must be at least 1, got 0"),
+        ({"flows": [], "activated": [], "unallocated": []}, "unallocated must be an object"),
+    ], ids=["float-app", "string-amount", "bool-app", "float-unallocated", "missing-key",
+            "unknown-key", "short-row", "string-row", "int-id", "negative-app", "zero-amount",
+            "unallocated-array"])
+    def test_rejects_what_the_schema_rejects(self, doc, reason):
+        assert not _ALLOCATION_SCHEMA.is_valid(doc)
+        with pytest.raises(InstanceError, match=re.escape(reason)):
+            allocation_from_dict(doc)
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_schema_parity(self, data):
+        # the reader accepts a document iff the JSON Schema does and its
+        # integers are JSON integers within int64
+        doc = data.draw(_near_schema_allocations())
+        accepted = _ALLOCATION_SCHEMA.is_valid(doc) and _allocation_semantics_pass(doc)
+        try:
+            allocation_from_dict(doc)
+        except InstanceError:
+            assert not accepted, doc
+        else:
+            assert accepted, doc
+
+    def test_over_deep_document_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"flows": %s%s}' % ("[" * 200000, "]" * 200000))
+        with pytest.raises(InstanceError, match="nested too deeply"):
+            read_allocation(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_bulk_io_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    # the readers and writers pause the cyclic collector; they must hand it
+    # back in the caller's state, also when a reader raises
+    inst = simple_instance()
+    alloc = meaf.dtas(inst).allocation
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"flows": [["a", 1.7, 3]], "activated": [], "unallocated": {}}')
+    steps = [
+        lambda: write_instance(inst, tmp_path / "inst.json"),
+        lambda: read_instance(tmp_path / "inst.json"),
+        lambda: write_allocation(alloc, tmp_path / "alloc.json"),
+        lambda: read_allocation(tmp_path / "alloc.json"),
+    ]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for step in steps:
+            step()
+            assert gc.isenabled() is enabled
+        for reader in (read_instance, read_allocation):
+            with pytest.raises(InstanceError):
+                reader(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 class TestAllocation:
