@@ -57,7 +57,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, files) -> Path:
+def _write_manifest(out_dir: Path, command: str, config: dict, files,
+                    not_reproducible=()) -> Path:
+    """Hash each of `files`; name `not_reproducible` files (wall times)
+    without a hash, so reruns of one config write the same manifest."""
     entries = []
     for path in sorted(files, key=lambda p: p.name):
         entries.append(
@@ -71,6 +74,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, files) -> Path:
         "files": entries,
         "tool_version": __version__,
     }
+    if not_reproducible:
+        manifest["not_reproducible"] = sorted(not_reproducible)
     path = out_dir / "manifest.json"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(canonical_dumps(manifest))
@@ -256,8 +261,10 @@ def cmd_bench(args) -> int:
     records, files = bench.run_comparison(
         specs, algorithms, out, threads=args.threads, force=args.force
     )
+    timed = ("records.json", "runtime.csv")
     manifest = _write_manifest(
-        out, "bench", {"algorithms": algorithms, "source": config}, files.values()
+        out, "bench", {"algorithms": algorithms, "source": config},
+        [path for name, path in files.items() if name not in timed], timed,
     )
     _log(args, "wrote %s" % manifest)
     bad = [r for r in records if r.status == "ok" and not r.verified]

@@ -392,7 +392,8 @@ def _json_users(users):
     """(id, demand, preinstalled) of each user object, checking only the
     JSON shape: an object with the required keys and no others."""
     for rec in users:
-        if not isinstance(rec, Mapping):
+        # the type test spares each parsed object the ABC instance check
+        if type(rec) is not dict and not isinstance(rec, Mapping):
             raise InstanceError("each user must be a JSON object")
         try:
             uid = rec["id"]
@@ -478,16 +479,16 @@ class Allocation:
     def __init__(self, user_ids, flow_user, flow_app, flow_amount, act_user, act_app,
                  un_user=None, un_amount=None):
         self.user_ids = list(user_ids)
-        self.flow_user = np.asarray(flow_user, dtype=np.int64)
-        self.flow_app = np.asarray(flow_app, dtype=np.int64)
-        self.flow_amount = np.asarray(flow_amount, dtype=np.int64)
-        self.act_user = np.asarray(act_user, dtype=np.int64)
-        self.act_app = np.asarray(act_app, dtype=np.int64)
-        self.un_user = np.asarray(
-            un_user if un_user is not None else [], dtype=np.int64
+        self.flow_user = _int64_column(flow_user, "flow user index")
+        self.flow_app = _int64_column(flow_app, "flow app id")
+        self.flow_amount = _int64_column(flow_amount, "flow amount")
+        self.act_user = _int64_column(act_user, "activated user index")
+        self.act_app = _int64_column(act_app, "activated app id")
+        self.un_user = _int64_column(
+            un_user if un_user is not None else [], "unallocated user index"
         )
-        self.un_amount = np.asarray(
-            un_amount if un_amount is not None else [], dtype=np.int64
+        self.un_amount = _int64_column(
+            un_amount if un_amount is not None else [], "unallocated amount"
         )
         self._flows = None
         self._activated = None

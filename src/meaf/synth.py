@@ -171,10 +171,12 @@ def generate(cfg: GenConfig) -> Instance:
         # without replacement
         race = -np.log(u_keys) / shares[None, :]
         ranked = np.argsort(race, axis=1, kind="stable")
-        for i in range(span):
-            row = np.sort(ranked[i, : ks[i]])
-            rows_indices.append(row)
-    pre_indices = np.concatenate(rows_indices) if rows_indices else np.empty(0, np.int64)
+        # drop each user's ranks past k, sort the kept app ids, then read
+        # the rows out user-major in one pass
+        ranked[np.arange(m)[None, :] >= ks[:, None]] = m
+        ranked.sort(axis=1)
+        rows_indices.append(ranked[ranked < m])
+    pre_indices = np.concatenate(rows_indices)
     pre_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=pre_indptr[1:])
 
@@ -187,7 +189,7 @@ def generate(cfg: GenConfig) -> Instance:
         user_ids,
         demands,
         pre_indptr,
-        pre_indices.astype(np.int64),
+        pre_indices,
         alpha=float(cfg.alpha),
     )
 

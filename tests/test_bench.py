@@ -297,3 +297,18 @@ def test_perfbench_trace_sees_the_io_layers(tmp_path):
     for name in ("model.write_instance_s", "model.instance_bytes", "model.read_instance_s",
                  "model.verify_s", "model.write_allocation_s", "model.allocation_bytes"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_perfbench_trace_sees_the_generator():
+    # the workloads build every input through synth.generate; that layer
+    # must not read 0 because generate was restructured or renamed
+    from meaf import synth
+
+    tracer = _perfbench_tracer()
+    try:
+        inst = synth.generate(synth.GenConfig(num_users=200, num_transactions=3000,
+                                              num_apps=5, alpha=0.3, seed=1))
+    finally:
+        tracer.uninstall()
+    assert inst.num_users == 200
+    assert tracer.layer_metrics([tracer.phase])["synth.generate_s"]["value"] > 0

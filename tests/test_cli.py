@@ -246,9 +246,9 @@ def test_bench_end_to_end(tmp_path, capsys):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "bench"
-    assert sorted(e["name"] for e in manifest["files"]) == [
-        "records.csv", "records.json", "runtime.csv", "runtime_loglog.gp"
-    ]
+    assert sorted(e["name"] for e in manifest["files"]) == ["records.csv", "runtime_loglog.gp"]
+    # the files holding wall times are named, not hashed
+    assert manifest["not_reproducible"] == ["records.json", "runtime.csv"]
     assert "timestamp" not in manifest
     for entry in manifest["files"]:
         import hashlib
@@ -402,6 +402,19 @@ def test_manifest_stable_across_reruns(tmp_path):
     one, two = tmp_path / "m1", tmp_path / "m2"
     main(["export-milp", str(inst_path), "--out", str(one)])
     main(["export-milp", str(inst_path), "--out", str(two)])
+    assert (one / "manifest.json").read_bytes() == (two / "manifest.json").read_bytes()
+
+
+def test_bench_manifest_stable_across_reruns(tmp_path, capsys):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({
+        "algorithms": ["carl-asc", "dtas"],
+        "instances": [{"id": "small", "users": 30, "transactions": 400, "apps": 3,
+                       "alpha": 0.4, "seed": 4}],
+    }))
+    one, two = tmp_path / "b1", tmp_path / "b2"
+    assert main(["bench", "--config", str(config), "--out", str(one)]) == 0
+    assert main(["bench", "--config", str(config), "--out", str(two)]) == 0
     assert (one / "manifest.json").read_bytes() == (two / "manifest.json").read_bytes()
 
 

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import re
+import types
+from collections.abc import Mapping
 from fractions import Fraction
 from importlib import resources
 
@@ -416,6 +418,38 @@ class TestValidateInstance:
                                   "users": [{"id": "u", "demand": 1, "preinstalled": [2, 0]}]})
         assert inst.pre_indices.tolist() == [0, 2]
 
+    def test_user_may_be_any_mapping(self):
+        # a plain dict skips the ABC check; every other mapping still passes it
+        class Record(Mapping):
+            def __init__(self, fields):
+                self._fields = dict(fields)
+
+            def __getitem__(self, key):
+                return self._fields[key]
+
+            def __iter__(self):
+                return iter(self._fields)
+
+            def __len__(self):
+                return len(self._fields)
+
+        class DictRecord(dict):
+            pass
+
+        users = [{"id": "a", "demand": 3, "preinstalled": [1, 0]}, {"id": "b", "demand": 2}]
+        want = instance_to_dict(
+            validate_instance({"num_apps": 2, "capacities": [4, 4], "users": users})
+        )
+        for kind in (Record, types.MappingProxyType, DictRecord):
+            got = validate_instance({"num_apps": 2, "capacities": [4, 4],
+                                     "users": [kind(u) for u in users]})
+            assert instance_to_dict(got) == want, kind
+
+    @pytest.mark.parametrize("user", [["a", 1], "a", None], ids=["list", "string", "null"])
+    def test_user_must_be_an_object(self, user):
+        with pytest.raises(InstanceError, match="each user must be a JSON object"):
+            validate_instance({"num_apps": 1, "capacities": [5], "users": [user]})
+
     @settings(max_examples=400)
     @given(st.data())
     def test_schema_parity(self, data):
@@ -645,6 +679,22 @@ class TestAllocation:
         assert alloc.total_unallocated == 1
         assert alloc.activation_count() == 1
         assert alloc.app_loads(2).tolist() == [2, 3]
+
+    @pytest.mark.parametrize("app, amount, what", [
+        ([1.7], [3.9], "flow app id"),
+        ([True], [3], "flow app id"),
+        ([1], [3.9], "flow amount"),
+    ], ids=["float-app", "bool-app", "float-amount"])
+    def test_non_integer_columns_rejected(self, app, amount, what):
+        with pytest.raises(InstanceError, match="%s must be an integer" % what):
+            Allocation(["a"], [0], app, amount, [], [])
+
+    def test_int64_columns_kept_without_a_copy(self):
+        column = np.array([0, 1], dtype=np.int64)
+        alloc = Allocation(["a", "b"], column, column, column, column, column, column, column)
+        for name in ("flow_user", "flow_app", "flow_amount", "act_user", "act_app",
+                     "un_user", "un_amount"):
+            assert getattr(alloc, name) is column
 
     def test_empty(self):
         alloc = Allocation.empty(["u"])

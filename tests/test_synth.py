@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -71,6 +72,30 @@ def test_chunked_sampling_is_stream_invariant(monkeypatch):
     want = canonical_dumps(instance_to_dict(generate(cfg)))
     monkeypatch.setattr(synth, "_CHUNK", 7)
     assert canonical_dumps(instance_to_dict(generate(cfg))) == want
+
+
+@pytest.mark.parametrize("kwargs, chunk, digest", [
+    # 70,000 users cross one 65,536-user chunk boundary
+    (dict(num_users=70000, num_transactions=700000, num_apps=4, alpha=0.3, seed=5), None,
+     "f2e11f18a4593939fc9a95a2d5e13718e39a7134dacdcba39e0045ab28f7e956"),
+    (dict(num_users=300, num_transactions=2000, num_apps=1, alpha=1.0, seed=2,
+          apps_per_user={1: 0.5, 2: 0.5}), None,
+     "8fe315c23f12c686046dc5ac1b73576e5baf73edb3d2ef265034790596d89957"),
+    (dict(num_users=300, num_transactions=2000, num_apps=2, alpha=0.5, seed=3,
+          apps_per_user={1: 0.2, 2: 0.5, 3: 0.3}), None,
+     "b167386dae8e1f3781740a3eff6f920922a762e84024cd4e72875407e99e61a0"),
+    (dict(num_users=500, num_transactions=4000, num_apps=15, alpha=0.2, seed=4,
+          skew_exponent=0.0), None,
+     "fd920b022210796bb0306dca3c2c5ededeb94f9c5c94633cd24e5be2f9f9ba16"),
+    (dict(num_users=500, num_transactions=6000, num_apps=6, alpha=0.3, seed=6,
+          apps_per_user={1: 0.1, 3: 0.3, 6: 0.6}), 7,
+     "0b8df4e10fc87a792a9876f060f4a8ff75f6791885a5e57481a48d5ea8704864"),
+], ids=["70000-users-4-apps", "1-app", "2-apps", "flat-skew", "chunk-7"])
+def test_generated_bytes_pinned(monkeypatch, kwargs, chunk, digest):
+    if chunk is not None:
+        monkeypatch.setattr(synth, "_CHUNK", chunk)
+    text = canonical_dumps(instance_to_dict(generate(GenConfig(**kwargs))))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_preinstall_sizes_follow_histogram_support():
